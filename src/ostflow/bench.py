@@ -162,23 +162,28 @@ def _worker(job: tuple[SweepConfig, float, int]) -> list[ResultRow]:
     return _run_cell(*job)
 
 
-def worker_count() -> int:
-    """Worker cap from OST_THREADS; 0 or unset means all cores."""
-    raw = os.environ.get("OST_THREADS", "").strip()
-    if not raw:
-        return os.cpu_count() or 1
+def worker_count(jobs: int) -> int:
+    """Pool size for ``jobs`` jobs: min(requested, cores, jobs), at least 1.
+
+    The request comes from OST_THREADS; 0, unset or unparsable means all
+    cores. The pool starts every worker eagerly, so the cap keeps an
+    oversized request from starting idle processes.
+    """
+    cores = os.cpu_count() or 1
     try:
-        n = int(raw)
+        requested = int(os.environ.get("OST_THREADS", ""))
     except ValueError:
-        return os.cpu_count() or 1
-    return os.cpu_count() or 1 if n <= 0 else n
+        requested = 0
+    if requested <= 0:
+        requested = cores
+    return max(1, min(requested, cores, jobs))
 
 
 def run_sweep(cfg: SweepConfig) -> list[ResultRow]:
     """Run every (value, seed) cell; deterministic for a given config."""
     jobs = [(cfg, value, seed) for value in cfg.values for seed in range(cfg.trials)]
-    workers = worker_count()
-    if workers > 1 and len(jobs) > 1:
+    workers = worker_count(len(jobs))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_cell = list(pool.map(_worker, jobs, chunksize=1))
     else:

@@ -8,6 +8,7 @@ at least its demanded rate from the source.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -31,9 +32,9 @@ class InfeasibleInstanceError(ValueError):
 class Graph:
     """Undirected weighted graph on nodes 0..node_count-1.
 
-    Edge weights are nonnegative unit transmission costs. Edges are stored
-    normalized (u < v) and sorted; ``adjacency`` and the weight lookup are
-    derived at construction. Instances are treated as immutable.
+    Edge weights are finite, nonnegative unit transmission costs. Edges are
+    stored normalized (u < v) and sorted; ``adjacency`` and the weight
+    lookup are derived at construction. Instances are treated as immutable.
     """
 
     node_count: int
@@ -61,6 +62,8 @@ class Graph:
                 u, v = v, u
             if (u, v) in seen:
                 raise InstanceError(f"duplicate edge ({u}, {v})")
+            if not math.isfinite(w):
+                raise InstanceError(f"edge ({u}, {v}) has non-finite weight {w}")
             if w < 0:
                 raise InstanceError(f"edge ({u}, {v}) has negative weight {w}")
             seen.add((u, v))
@@ -109,9 +112,9 @@ class Graph:
 class Instance:
     """A routing problem: graph, source node, and per-terminal demands.
 
-    ``terminals`` maps terminal node id to its positive demand. The source
-    is never a terminal. Reachability of terminals is a semantic check
-    done by :func:`validate_instance`, not a construction invariant.
+    ``terminals`` maps terminal node id to its finite, positive demand. The
+    source is never a terminal. Reachability of terminals is a semantic
+    check done by :func:`validate_instance`, not a construction invariant.
     """
 
     graph: Graph
@@ -148,7 +151,9 @@ def _instance_problems(inst: Instance) -> list[str]:
     for t, demand in sorted(inst.terminals.items()):
         if not (0 <= t < n):
             problems.append(f"terminal {t} outside [0, {n})")
-        if demand <= 0:
+        if not math.isfinite(demand):
+            problems.append(f"terminal {t} has non-finite demand {demand}")
+        elif demand <= 0:
             problems.append(f"terminal {t} has nonpositive demand {demand}")
     return problems
 

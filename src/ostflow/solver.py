@@ -3,21 +3,26 @@
 State H(v, S) is the cheapest flow network delivering every terminal in
 subset S its demanded rate from node v. Boundaries: H(d, {d}) = 0 for a
 terminal d, H(v, {}) = +inf. Two transitions drive the table, processed
-per subset in increasing population count:
+per subset in increasing population count (the Dreyfus-Wagner recurrence
+with rate-weighted edges):
 
-* merge: combine the stored solutions of a split {F, S - F} at a common
-  node, unioning their edge sets with per-edge flow = max of the two
-  (shared edges are paid once, at the larger rate);
+* merge: H(v, S) = min over splits {F, S - F} of H(v, F) + H(v, S - F),
+  the two sub-networks joined at v with their costs added;
 * grow: extend a solution for S across one edge, which carries the
   subset's maximum demand; computed as a best-first relaxation seeded
   with all finite entries (same fixed point as exhaustive relaxation
   since weights are nonnegative, but one pass per subset).
 
-The optimum for the full terminal set at the source is exact; flows are
-reconstructed on demand from per-state decision records instead of
-storing per-state edge sets. A bounded cache of per-state flow vectors
-accelerates merge candidate costing; evicted entries are rebuilt from
-the decisions, so memory stays capped.
+The optimum for the full terminal set at the source is exact. Each table
+value is at least the cost of the feasible network its decisions
+describe (an edge used by both halves of a merge is paid by each), so
+H(source, full set) is never below the optimum. An optimal network is a
+tree rooted at the source: at each of its nodes the branches towards
+disjoint terminal sets share no edge, and each edge carries the maximum
+demand of the terminals below it, so by induction over subsets the
+recurrence reaches that tree's cost. Flows are reconstructed from
+per-state decision records (an edge met twice keeps the larger flow)
+instead of storing per-state edge sets.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,115 +45,6 @@ from .model import (
 # Decision codes: how cost[v, S] was last improved.
 UNSET, LEAF, MERGE, EXTEND = 0, 1, 2, 3
 
-_VECTOR_BUDGET_BYTES = 192 * 1024 * 1024
-
-
-class _VectorCache:
-    """Per-state flow networks as dense vectors over directed edge slots.
-
-    Slot 2e is edge e traversed as stored (u -> v), slot 2e+1 the reverse.
-    Vectors are built lazily by following decision records and dropped
-    oldest-subset-first when the budget is exceeded (they can always be
-    rebuilt). Cached vectors are never mutated in place.
-    """
-
-    def __init__(self, inst: Instance, table: "DpTable"):
-        edges = inst.graph.edges
-        self._kind = table.kind
-        self._arg = table.arg
-        self._xmax = table.xmax
-        self.slot: dict[tuple[int, int], int] = {}
-        w2 = np.empty(2 * len(edges))
-        for e, (u, v, w) in enumerate(edges):
-            self.slot[(u, v)] = 2 * e
-            self.slot[(v, u)] = 2 * e + 1
-            w2[2 * e] = w
-            w2[2 * e + 1] = w
-        self.w2 = w2
-        self.zero = np.zeros(2 * len(edges))
-        self.zero.flags.writeable = False
-        self.buckets: dict[int, dict[int, np.ndarray]] = {}
-        self.count = 0
-        self.budget = max(
-            4 * inst.graph.node_count,
-            _VECTOR_BUDGET_BYTES // max(1, self.zero.nbytes),
-        )
-
-    def purge(self, mask: int) -> None:
-        bucket = self.buckets.pop(mask, None)
-        if bucket is not None:
-            self.count -= len(bucket)
-
-    def _evict(self, keep_mask: int) -> None:
-        if self.count <= self.budget:
-            return
-        for mask in list(self.buckets):
-            if self.count <= self.budget:
-                break
-            if mask != keep_mask:
-                self.purge(mask)
-
-    def get(self, v: int, mask: int) -> np.ndarray:
-        bucket = self.buckets.get(mask)
-        if bucket is not None:
-            vec = bucket.get(v)
-            if vec is not None:
-                return vec
-        kind = self._kind
-        arg = self._arg
-        stack = [(v, mask)]
-        while stack:
-            node, m = stack[-1]
-            bucket = self.buckets.get(m)
-            if bucket is not None and node in bucket:
-                stack.pop()
-                continue
-            k = kind[node, m]
-            if k == LEAF:
-                self._store(m, node, self.zero)
-                stack.pop()
-            elif k == EXTEND:
-                nxt = int(arg[node, m])
-                dep = self.buckets.get(m, {}).get(nxt)
-                if dep is None:
-                    stack.append((nxt, m))
-                    continue
-                vec = dep.copy()
-                s = self.slot[(node, nxt)]
-                f = self._xmax[m]
-                if vec[s] < f:
-                    vec[s] = f
-                vec.flags.writeable = False
-                self._store(m, node, vec)
-                stack.pop()
-            elif k == MERGE:
-                f_mask = int(arg[node, m])
-                g_mask = m ^ f_mask
-                a = self.buckets.get(f_mask, {}).get(node)
-                b = self.buckets.get(g_mask, {}).get(node)
-                if a is None:
-                    stack.append((node, f_mask))
-                if b is None:
-                    stack.append((node, g_mask))
-                if a is None or b is None:
-                    continue
-                vec = np.maximum(a, b)
-                vec.flags.writeable = False
-                self._store(m, node, vec)
-                stack.pop()
-            else:
-                raise ValueError(f"unreachable state (node {node}, subset {m:#x})")
-        self._evict(mask)
-        return self.buckets[mask][v]
-
-    def _store(self, mask: int, node: int, vec: np.ndarray) -> None:
-        bucket = self.buckets.get(mask)
-        if bucket is None:
-            bucket = self.buckets[mask] = {}
-        if node not in bucket:
-            self.count += 1
-        bucket[node] = vec
-
 
 @dataclass
 class DpTable:
@@ -158,7 +54,8 @@ class DpTable:
     node-id order (``terminal_index`` maps node id -> bit). ``kind`` and
     ``arg`` together encode the reconstruction decision per state: a MERGE
     stores the chosen submask, an EXTEND stores the neighbor extended to.
-    ``vectors`` is a rebuildable cache, not part of the table's state.
+    ``cost`` holds the additive recurrence's values: a MERGE state costs
+    the sum of its two halves, which is exact at (source, full set).
     """
 
     terminal_index: dict[int, int]
@@ -166,7 +63,6 @@ class DpTable:
     cost: np.ndarray    # (M, 2^K) float64, +inf where unreached
     kind: np.ndarray    # (M, 2^K) int8
     arg: np.ndarray     # (M, 2^K) int32
-    vectors: _VectorCache = field(repr=False, compare=False, default=None)
 
     def bit_of(self, terminal: int) -> int:
         return 1 << self.terminal_index[terminal]
@@ -193,11 +89,9 @@ def dp_init(inst: Instance) -> DpTable:
     for t, i in terminal_index.items():
         cost[t, 1 << i] = 0.0
         kind[t, 1 << i] = LEAF
-    table = DpTable(
+    return DpTable(
         terminal_index=terminal_index, xmax=xmax, cost=cost, kind=kind, arg=arg
     )
-    table.vectors = _VectorCache(inst, table)
-    return table
 
 
 def _state_flows(table: DpTable, roots: list[tuple[int, int]]) -> dict[tuple[int, int], float]:
@@ -233,19 +127,15 @@ def _state_flows(table: DpTable, roots: list[tuple[int, int]]) -> dict[tuple[int
 
 
 def dp_merge(table: DpTable, inst: Instance, subset: int) -> None:
-    """Merge phase for one subset: try every unordered split at every node.
+    """Merge phase for one subset: the cheapest split at every node.
 
-    Splits are enumerated with the half containing the subset's lowest bit,
-    in increasing numeric order, so each unordered pair is tried once and
-    tie-breaking (strict improvement only) is deterministic. A split whose
-    dearer half already matches the incumbent cannot win (union flows are
-    at least each half's flows) and is skipped without costing the union.
+    A split {F, S - F} costs cost[v, F] + cost[v, S - F] at node v. Splits
+    are enumerated with the half containing the subset's lowest bit, in
+    increasing numeric order, so each unordered pair is tried once; all of
+    them are costed in one (nodes x splits) array. ``argmin`` picks the
+    first minimum, and a node takes it only on strict improvement, so
+    tie-breaking is deterministic.
     """
-    cost = table.cost
-    kind = table.kind
-    arg = table.arg
-    vectors = table.vectors
-    vectors.purge(subset)
     low = subset & -subset
     splits = []
     sub = (subset - 1) & subset
@@ -253,32 +143,15 @@ def dp_merge(table: DpTable, inst: Instance, subset: int) -> None:
         if sub & low:
             splits.append(sub)
         sub = (sub - 1) & subset
-    splits.reverse()
-    current = cost[:, subset]
-    w2 = vectors.w2
-    for f_mask in splits:
-        g_mask = subset ^ f_mask
-        floor = np.maximum(cost[:, f_mask], cost[:, g_mask])
-        candidates = np.nonzero(floor < current)[0]
-        if candidates.size == 0:
-            continue
-        if candidates.size == 1:
-            nodes = [int(candidates[0])]
-            merged = np.maximum(
-                vectors.get(nodes[0], f_mask), vectors.get(nodes[0], g_mask)
-            )
-            costs = [float(w2 @ merged)]
-        else:
-            nodes = [int(v) for v in candidates]
-            a = np.stack([vectors.get(v, f_mask) for v in nodes])
-            b = np.stack([vectors.get(v, g_mask) for v in nodes])
-            costs = np.maximum(a, b) @ w2
-        for v, c in zip(nodes, costs):
-            c = float(c)
-            if c < current[v]:
-                current[v] = c
-                kind[v, subset] = MERGE
-                arg[v, subset] = f_mask
+    splits = np.array(splits[::-1])
+    cost = table.cost
+    candidates = cost[:, splits] + cost[:, subset ^ splits]
+    best = candidates.argmin(axis=1)
+    values = candidates[np.arange(len(best)), best]
+    improved = values < cost[:, subset]
+    cost[improved, subset] = values[improved]
+    table.kind[improved, subset] = MERGE
+    table.arg[improved, subset] = splits[best[improved]]
 
 
 def dp_grow(table: DpTable, inst: Instance, subset: int) -> None:
@@ -288,7 +161,6 @@ def dp_grow(table: DpTable, inst: Instance, subset: int) -> None:
     relaxation pays the subset's maximum demand times the edge weight.
     Ties settle lower node ids first and never displace a decision.
     """
-    table.vectors.purge(subset)
     xm = table.xmax[subset]
     column = table.cost[:, subset]
     dist = column.tolist()

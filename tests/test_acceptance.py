@@ -258,9 +258,14 @@ def test_criterion_7_complexity_scaling():
         inst = generate_instance(
             GenConfig(node_count=50, avg_degree=4.0, terminal_count=k, seed=1)
         )
-        started = time.perf_counter()
-        solve_ost(inst)
-        runtimes[k] = time.perf_counter() - started
+        # min of 3 repeats: a single solve now takes milliseconds, so one
+        # scheduler hiccup could otherwise break the strict-growth check
+        repeats = []
+        for _ in range(3):
+            started = time.perf_counter()
+            solve_ost(inst)
+            repeats.append(time.perf_counter() - started)
+        runtimes[k] = min(repeats)
     under = all(t < 10.0 for t in runtimes.values())
     growing = runtimes[6] > runtimes[4] and runtimes[8] > runtimes[6] and runtimes[10] > runtimes[8]
     detail = ", ".join(f"K={k}: {t:.3f}s" for k, t in runtimes.items())

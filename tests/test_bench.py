@@ -142,14 +142,29 @@ def test_run_sweep_small_nodes_ost_matches_oracle(monkeypatch):
 
 
 def test_worker_count_env(monkeypatch):
+    # a pure function of OST_THREADS, the core count and the job count:
+    # min(requested, cores, jobs), at least 1; no pool is started
     from ostflow.bench import worker_count
 
-    monkeypatch.setenv("OST_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("OST_THREADS", "0")
-    assert worker_count() >= 1
-    monkeypatch.delenv("OST_THREADS")
-    assert worker_count() >= 1
+    cases = [
+        # OST_THREADS, cores, jobs, expected
+        ("3", 8, 100, 3),
+        ("0", 8, 100, 8),  # 0 means all cores
+        ("-5", 4, 10, 4),  # so does a negative request
+        ("many", 8, 100, 8),  # and an unparsable one
+        (None, 8, 100, 8),  # and an unset one
+        ("100000", 2, 60, 2),  # capped by the cores
+        ("100000", None, 60, 1),  # core count unknown: one worker
+        ("4", 64, 3, 3),  # capped by the jobs
+        ("2", 4, 0, 1),  # never below one
+    ]
+    for requested, cores, jobs, expected in cases:
+        monkeypatch.setattr("os.cpu_count", lambda: cores)
+        if requested is None:
+            monkeypatch.delenv("OST_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OST_THREADS", requested)
+        assert worker_count(jobs) == expected, (requested, cores, jobs)
 
 
 def test_sweep_config_validation():

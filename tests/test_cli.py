@@ -57,6 +57,21 @@ def test_solve_missing_file_exits_1(capsys, tmp_path):
     assert code == 1 and "cannot read" in err
 
 
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("0.3", "NaN", "edge (0, 3) has non-finite weight nan"),
+        ('"demand": 0.25', '"demand": Infinity', "terminal 2 has non-finite demand inf"),
+    ],
+)
+def test_solve_non_finite_instance_exits_1(capsys, tmp_path, w1_path, old, new, message):
+    path = tmp_path / "bad.json"
+    path.write_text(w1_path.read_text().replace(old, new, 1))
+    code, out, err = run(capsys, "solve", "--instance", path, "--algorithm", "ost")
+    assert code == 1 and out == ""
+    assert message in err
+
+
 def test_solve_infeasible_instance_exits_2(capsys, tmp_path):
     doc = {
         "nodes": 4,

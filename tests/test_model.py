@@ -31,6 +31,9 @@ def test_graph_adjacency_is_symmetric_closure():
         (((0, 1, 0.5), (1, 0, 0.5)), "duplicate edge"),
         (((0, 5, 0.5),), "outside"),
         (((0, 1, -0.1),), "negative weight"),
+        (((0, 1, float("nan")),), r"edge \(0, 1\) has non-finite weight nan"),
+        (((1, 2, 0.5), (2, 0, float("inf"))), r"edge \(0, 2\) has non-finite weight inf"),
+        (((0, 1, float("-inf")),), r"edge \(0, 1\) has non-finite weight -inf"),
     ],
 )
 def test_graph_rejects_bad_edges(edges, message):
@@ -59,6 +62,13 @@ def test_instance_rejects_nonpositive_demand():
     g = Graph(2, ((0, 1, 0.5),))
     with pytest.raises(InstanceError, match="nonpositive demand"):
         Instance(graph=g, source=0, terminals={1: 0.0})
+
+
+@pytest.mark.parametrize("demand", [float("nan"), float("inf"), float("-inf")])
+def test_instance_rejects_non_finite_demand(demand):
+    g = Graph(3, ((0, 1, 0.5), (1, 2, 0.5)))
+    with pytest.raises(InstanceError, match=f"terminal 2 has non-finite demand {demand}"):
+        Instance(graph=g, source=0, terminals={1: 1.0, 2: demand})
 
 
 def test_instance_rejects_bad_source():

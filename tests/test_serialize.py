@@ -75,6 +75,20 @@ def test_parse_rejects_duplicate_terminal():
         parse_instance(doc)
 
 
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("[0, 1, 0.5]", "[0, 1, NaN]", r"edge \(0, 1\) has non-finite weight nan"),
+        ("[0, 1, 0.5]", "[0, 1, Infinity]", r"edge \(0, 1\) has non-finite weight inf"),
+        ('"demand": 1.0', '"demand": NaN', "terminal 1 has non-finite demand nan"),
+        ('"demand": 1.0', '"demand": -Infinity', "terminal 1 has non-finite demand -inf"),
+    ],
+)
+def test_parse_rejects_non_finite_numbers(old, new, message):
+    with pytest.raises(InstanceError, match=message):
+        parse_instance(SMALLEST.replace(old, new))
+
+
 def test_instance_round_trip_is_identity(w1):
     text = serialize_instance(w1)
     again = parse_instance(text)

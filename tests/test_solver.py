@@ -1,5 +1,10 @@
+import hashlib
+import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ostflow import (
@@ -7,11 +12,15 @@ from ostflow import (
     Graph,
     InfeasibleInstanceError,
     Instance,
+    brute_force_optimum,
+    check_flow_law,
+    check_tree,
     dp_grow,
     dp_init,
     dp_merge,
     generate_instance,
     reconstruct,
+    serialize_solution,
     solve_ost,
 )
 from ostflow.solver import LEAF, MERGE, UNSET
@@ -21,6 +30,8 @@ from helpers import W1_OPT_COST, W1_OPT_FLOWS, close, flows_close
 D1 = 0b01  # terminal node 2 (demand 0.25), lower node id -> bit 0
 D2 = 0b10  # terminal node 3 (demand 1.0)
 FULL = 0b11
+
+GOLDEN = Path(__file__).parent / "data" / "ost_golden.json"
 
 
 def test_dp_init_boundaries(w1):
@@ -59,9 +70,10 @@ def test_dp_merge_full_mask(w1):
     # merging the finalized singleton solutions at node 3: 0.05 + 0
     assert close(table.cost[3, FULL], 0.05)
     assert table.kind[3, FULL] == MERGE
-    # at the source the two sub-solutions share edge (0,3), so the union
-    # with per-edge max already reaches the optimum
-    assert close(table.cost[0, FULL], 0.35)
+    # at the source the two sub-solutions share edge (0,3); merge adds
+    # their costs (0.125 + 0.3), and only grow from node 3 reaches 0.35
+    assert close(table.cost[0, FULL], 0.425)
+    assert table.kind[0, FULL] == MERGE
     assert close(table.cost[1, FULL], 0.125)
 
 
@@ -72,6 +84,25 @@ def test_dp_merge_noop_when_a_half_is_unreachable(w1):
     before = table.cost.copy()
     dp_merge(table, w1, FULL)
     assert (table.cost == before).all()
+
+
+def test_dp_merge_ties_take_the_first_split_on_strict_improvement():
+    inst = Instance(
+        graph=Graph(4, ((0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0))),
+        source=0,
+        terminals={1: 1.0, 2: 1.0, 3: 1.0},
+    )
+    table = dp_init(inst)
+    # every split of the full set costs 1 + 2 = 3 at every node
+    for mask in range(1, 0b111):
+        table.cost[:, mask] = mask.bit_count()
+    table.cost[2, 0b111] = 3.0  # already as cheap as any split
+    dp_merge(table, inst, 0b111)
+    for v in (0, 1, 3):
+        assert table.cost[v, 0b111] == 3.0
+        assert table.kind[v, 0b111] == MERGE
+        assert table.arg[v, 0b111] == 0b001  # lowest of 0b001, 0b011, 0b101
+    assert table.kind[2, 0b111] == UNSET
 
 
 def test_dp_grow_full_mask_reaches_optimum(w1):
@@ -168,14 +199,48 @@ def test_solve_ost_deterministic():
     assert a.cost == b.cost and a.flows == b.flows
 
 
-def test_tiny_vector_cache_budget_changes_nothing(monkeypatch):
-    # force constant eviction so merge costing rebuilds states from decisions
-    inst = generate_instance(GenConfig(node_count=18, avg_degree=3.5, terminal_count=5, seed=4))
-    baseline = solve_ost(inst)
-    monkeypatch.setattr("ostflow.solver._VECTOR_BUDGET_BYTES", 1)
-    squeezed = solve_ost(inst)
-    assert squeezed.cost == baseline.cost
-    assert squeezed.flows == baseline.flows
+def test_ost_documents_match_golden_corpus():
+    # SHA-256 and cost of each solution document (runtime_ms=0) as written
+    # by the earlier union-cost merge; the additive merge must reproduce
+    # every document byte for byte
+    keys = ("node_count", "avg_degree", "terminal_count", "seed")
+    rows = json.loads(GOLDEN.read_text())
+    assert len(rows) == 40
+    for row in rows:
+        inst = generate_instance(GenConfig(**{k: row[k] for k in keys}))
+        doc = serialize_solution(replace(solve_ost(inst), runtime_ms=0.0))
+        assert json.loads(doc)["cost"] == row["cost"], row
+        assert hashlib.sha256(doc.encode()).hexdigest() == row["sha256"], row
+
+
+def _zero_heavy_instance(seed: int) -> Instance:
+    """Desk-size instance with about 40% of its edge weights set to 0."""
+    rng = np.random.default_rng(seed)
+    inst = generate_instance(
+        GenConfig(
+            node_count=int(rng.integers(6, 11)),
+            avg_degree=3.0,
+            terminal_count=int(rng.integers(2, 5)),
+            seed=seed,
+        )
+    )
+    edges = tuple(
+        (u, v, 0.0 if rng.random() < 0.4 else w) for u, v, w in inst.graph.edges
+    )
+    return Instance(
+        graph=Graph(inst.graph.node_count, edges),
+        source=inst.source,
+        terminals=inst.terminals,
+    )
+
+
+def test_zero_weight_ties_stay_exact_and_tree_shaped():
+    for seed in range(150):
+        inst = _zero_heavy_instance(seed)
+        sol = solve_ost(inst)
+        assert close(sol.cost, brute_force_optimum(inst).cost), seed
+        assert check_tree(inst, sol) == [], seed
+        assert check_flow_law(inst, sol) == [], seed
 
 
 def test_demand_scale_equivariance_power_of_two():
