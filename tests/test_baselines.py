@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from ostflow import (
@@ -16,9 +19,18 @@ from ostflow import (
     solve_sp_union,
 )
 
-from helpers import W1_OPT_FLOWS, close, flows_close
+from helpers import (
+    BASELINES,
+    W1_OPT_FLOWS,
+    close,
+    flows_close,
+    golden_instance,
+    solution_fingerprint,
+    stray_component_instance,
+)
 
 FAST = MetaheuristicParams(population=16, iterations=25, ant_count=8, seed=5)
+GOLDEN = Path(__file__).parent / "data" / "baseline_golden.json"
 
 
 def test_mst_w1(w1):
@@ -156,11 +168,7 @@ def test_all_baselines_feasible_and_dominated():
 
 def test_metaheuristics_survive_stray_component():
     # a component unreachable from the source must not break feasibility
-    inst = Instance(
-        graph=Graph(6, ((0, 1, 0.4), (1, 2, 0.3), (3, 4, 0.2), (4, 5, 0.1))),
-        source=0,
-        terminals={2: 1.0},
-    )
+    inst = stray_component_instance()
     for solver in (solve_ga, solve_aco, solve_bco):
         sol = solver(inst, FAST)
         assert check_constraints(inst, sol) == []
@@ -173,3 +181,18 @@ def test_params_validate_domains():
         MetaheuristicParams(population=0)
     with pytest.raises(ValueError):
         MetaheuristicParams(crossover_rate=1.5)
+
+
+def test_baselines_match_golden_table():
+    # repr(cost) and document SHA-256 of every baseline, recorded by
+    # tests/record_baseline_golden.py: a seed must reproduce its run bit
+    # for bit, including the alpha != 1 walk, tied weights and a stray
+    # component unreachable from the source
+    rows = json.loads(GOLDEN.read_text())
+    assert len(rows) == 43
+    for row in rows:
+        inst = golden_instance(row["instance"])
+        params = MetaheuristicParams(**row["params"])
+        for name, expected in row["results"].items():
+            got = solution_fingerprint(BASELINES[name](inst, params))
+            assert got == expected, (name, row["instance"], row["params"])
