@@ -17,7 +17,6 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,91 +74,73 @@ def _validated(inst: Instance) -> None:
         raise InfeasibleInstanceError(report)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
-def _kruskal(node_count: int, edges: list[tuple[float, int, int]]) -> list[tuple[int, int, float]]:
-    """Minimum spanning forest from (weight, u, v) entries already sorted."""
-    uf = _UnionFind(node_count)
+def _kruskal(node_count: int, pairs, need: int) -> list[tuple[int, int]]:
+    """Minimum spanning forest from (u, v) pairs already in (weight, u, v)
+    order; stops once ``need`` edges are in the forest."""
+    root = list(range(node_count))
     tree = []
-    for w, u, v in edges:
-        if uf.union(u, v):
-            tree.append((u, v, w))
+    for u, v in pairs:
+        a, b = u, v
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        while root[b] != b:
+            root[b] = root[root[b]]
+            b = root[b]
+        if a != b:
+            root[a] = b
+            tree.append((u, v))
+            if len(tree) == need:
+                break
     return tree
 
 
-def _prune_leaves(
-    tree: list[tuple[int, int, float]], required: set[int]
-) -> list[tuple[int, int, float]]:
-    """Iteratively delete leaves that are not required nodes."""
-    degree: dict[int, int] = {}
-    incident: dict[int, list[int]] = {}
-    alive = [True] * len(tree)
-    for i, (u, v, _) in enumerate(tree):
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
-        incident.setdefault(u, []).append(i)
-        incident.setdefault(v, []).append(i)
-    queue = deque(n for n, d in degree.items() if d == 1 and n not in required)
-    while queue:
-        leaf = queue.popleft()
-        if degree.get(leaf, 0) != 1:
-            continue
-        for i in incident[leaf]:
-            if not alive[i]:
-                continue
-            alive[i] = False
-            u, v, _ = tree[i]
-            other = v if u == leaf else u
-            degree[leaf] -= 1
-            degree[other] -= 1
-            if degree[other] == 1 and other not in required:
-                queue.append(other)
-    return [e for i, e in enumerate(tree) if alive[i]]
-
-
-def _rooted_demand_flows(
-    tree: list[tuple[int, int, float]], source: int, terminals: dict[int, float]
+def _tree_flows(
+    node_count: int,
+    tree: list[tuple[int, int]],
+    source: int,
+    terminals: dict[int, float],
 ) -> dict[tuple[int, int], float]:
     """Orient a tree away from the source; each edge carries the maximum
-    demand among terminals in the subtree below it."""
-    neighbors: dict[int, list[int]] = {source: []}
-    for u, v, _ in tree:
-        neighbors.setdefault(u, []).append(v)
-        neighbors.setdefault(v, []).append(u)
-    parent = {source: -1}
+    demand among terminals in the subtree below it. Edges with no terminal
+    below are left out, which is what pruning non-required leaves removes."""
+    neighbors: list[list[int]] = [[] for _ in range(node_count)]
+    for u, v in tree:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    parent = [-1] * node_count
+    parent[source] = source
     order = [source]
-    queue = deque([source])
-    while queue:
-        x = queue.popleft()
+    for x in order:
         for y in neighbors[x]:
-            if y not in parent:
+            if parent[y] < 0:
                 parent[y] = x
                 order.append(y)
-                queue.append(y)
-    submax = {x: terminals.get(x, 0.0) for x in order}
-    for x in reversed(order):
-        p = parent[x]
-        if p != -1 and submax[x] > submax[p]:
-            submax[p] = submax[x]
-    return {(parent[x], x): submax[x] for x in order if parent[x] != -1}
+    flows: dict[tuple[int, int], float] = {}
+    for t, demand in terminals.items():
+        # every edge above one that already carries >= demand does too
+        x = t
+        while x != source:
+            key = (parent[x], x)
+            if flows.get(key, 0.0) >= demand:
+                break
+            flows[key] = demand
+            x = key[0]
+    return flows
+
+
+def _flow_cost(
+    weight: dict[tuple[int, int], float], flows: dict[tuple[int, int], float]
+) -> float:
+    """Sum of weight * flow in edge order; ``weight`` maps both
+    orientations of every edge."""
+    return sum(weight[key] * f for key, f in sorted(flows.items()))
+
+
+def _oriented_weights(inst: Instance) -> dict[tuple[int, int], float]:
+    weight = {(u, v): w for u, v, w in inst.graph.edges}
+    weight.update({(v, u): w for u, v, w in inst.graph.edges})
+    return weight
 
 
 def solve_mst_prune(inst: Instance) -> FlowSolution:
@@ -173,15 +154,11 @@ def solve_mst_prune(inst: Instance) -> FlowSolution:
     _validated(inst)
     n = inst.graph.node_count
     ordered = sorted((w, u, v) for u, v, w in inst.graph.edges)
-    tree = _kruskal(n, ordered)
+    tree = _kruskal(n, ((u, v) for _, u, v in ordered), n - 1)
     if len(tree) != n - 1:
         raise ValueError("graph is disconnected; spanning tree does not exist")
-    required = {inst.source} | set(inst.terminals)
-    tree = _prune_leaves(tree, required)
     top = inst.max_demand()
-    flows = {
-        key: top for key in _rooted_demand_flows(tree, inst.source, inst.terminals)
-    }
+    flows = {key: top for key in _tree_flows(n, tree, inst.source, inst.terminals)}
     return make_solution(
         inst, flows, "mst", runtime_ms=(time.perf_counter() - started) * 1e3
     )
@@ -241,38 +218,53 @@ class _SubsetDecoder:
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        self.required = {inst.source} | set(inst.terminals)
+        n = inst.graph.node_count
+        required = [inst.source, *inst.terminals]
         reachable = inst.graph.reachable_from(inst.source)
-        self.free = sorted(reachable - self.required)
-        self.ordered_edges = sorted((w, u, v) for u, v, w in inst.graph.edges)
+        self.free = sorted(reachable - set(required))
+        self._free = np.array(self.free, dtype=np.intp)
+        self._required = np.zeros(n, dtype=bool)
+        self._required[required] = True
+        # edge endpoints in Kruskal order (weight, u, v)
+        ordered = sorted((w, u, v) for u, v, w in inst.graph.edges)
+        self._u = np.array([u for _, u, _ in ordered], dtype=np.intp)
+        self._v = np.array([v for _, _, v in ordered], dtype=np.intp)
+        self._weight = _oriented_weights(inst)
         # Any feasible cost is below this: the whole graph at max demand.
         self.penalty = (
             sum(w for _, _, w in inst.graph.edges) * inst.max_demand() + 1.0
         )
         self._cache: dict[tuple[int, ...], tuple[float, dict[tuple[int, int], float] | None]] = {}
 
-    def nodes_of(self, genome: tuple[int, ...]) -> set[int]:
-        return self.required | {n for n, bit in zip(self.free, genome) if bit}
-
     def decode(self, genome: tuple[int, ...]) -> tuple[float, dict[tuple[int, int], float] | None]:
         """(cost, flows) for a genome; (penalty, None) when infeasible."""
         hit = self._cache.get(genome)
         if hit is not None:
             return hit
-        selected = self.nodes_of(genome)
-        edges = [
-            (w, u, v) for w, u, v in self.ordered_edges if u in selected and v in selected
-        ]
-        tree = _kruskal(self.inst.graph.node_count, edges)
-        if len(tree) != len(selected) - 1:
-            result = (self.penalty, None)
-        else:
-            tree = _prune_leaves(tree, self.required)
-            flows = _rooted_demand_flows(tree, self.inst.source, self.inst.terminals)
-            cost = sum(self.inst.graph.weight(u, v) * f for (u, v), f in sorted(flows.items()))
-            result = (cost, flows)
+        mask = self._required.copy()
+        mask[self._free[np.array(genome, dtype=bool)]] = True
+        result = self.decode_mask(mask, len(self.inst.terminals) + 1 + sum(genome))
         self._cache[genome] = result
         return result
+
+    def decode_mask(
+        self, mask: np.ndarray, count: int
+    ) -> tuple[float, dict[tuple[int, int], float] | None]:
+        """(cost, flows) for the ``count`` nodes set in a boolean node mask."""
+        inst = self.inst
+        keep = mask[self._u] & mask[self._v]
+        us, vs = self._u[keep], self._v[keep]
+        # a selected node on no induced edge disconnects the subgraph
+        touched = np.zeros(len(mask), dtype=bool)
+        touched[us] = True
+        touched[vs] = True
+        if (mask > touched).any():
+            return (self.penalty, None)
+        tree = _kruskal(inst.graph.node_count, zip(us.tolist(), vs.tolist()), count - 1)
+        if len(tree) != count - 1:
+            return (self.penalty, None)
+        flows = _tree_flows(inst.graph.node_count, tree, inst.source, inst.terminals)
+        return (_flow_cost(self._weight, flows), flows)
 
 
 def decode_node_subset(
@@ -283,24 +275,20 @@ def decode_node_subset(
     required = {inst.source} | set(inst.terminals)
     if not required <= selected:
         raise ValueError("selected nodes must include the source and all terminals")
-    edges = sorted(
-        (w, u, v) for u, v, w in inst.graph.edges if u in selected and v in selected
-    )
-    tree = _kruskal(inst.graph.node_count, edges)
-    if len(tree) != len(selected) - 1:
-        return None
-    tree = _prune_leaves(tree, required)
-    flows = _rooted_demand_flows(tree, inst.source, inst.terminals)
-    return make_solution(inst, flows, "decode")
+    n = inst.graph.node_count
+    mask = np.zeros(n, dtype=bool)
+    # ids outside the graph stay in the count, so such a subset is infeasible
+    mask[[x for x in selected if 0 <= x < n]] = True
+    _, flows = _SubsetDecoder(inst).decode_mask(mask, len(selected))
+    return None if flows is None else make_solution(inst, flows, "decode")
 
 
 def _tournament(
     rng: np.random.Generator, fits: list[float], size: int
 ) -> int:
-    picks = rng.integers(0, len(fits), size=size)
-    best = int(picks[0])
+    picks = rng.integers(0, len(fits), size=size).tolist()
+    best = picks[0]
     for p in picks[1:]:
-        p = int(p)
         if fits[p] < fits[best] or (fits[p] == fits[best] and p < best):
             best = p
     return best
@@ -322,7 +310,7 @@ def solve_ga(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSoluti
     all_ones = (1,) * length
     population = [all_ones]
     for _ in range(p.population - 1):
-        population.append(tuple(int(b) for b in rng.integers(0, 2, size=length)))
+        population.append(tuple(rng.integers(0, 2, size=length).tolist()))
     best_cost, best_flows = decoder.decode(all_ones)
     for _ in range(p.iterations):
         fits = []
@@ -337,12 +325,12 @@ def solve_ga(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSoluti
             a = population[_tournament(rng, fits, p.tournament_size)]
             b = population[_tournament(rng, fits, p.tournament_size)]
             if length and rng.random() < p.crossover_rate:
-                mix = rng.random(length) < 0.5
+                mix = (rng.random(length) < 0.5).tolist()
                 child = tuple(x if m else y for x, y, m in zip(a, b, mix))
             else:
                 child = a
             if length:
-                flips = rng.random(length) < p.mutation_rate
+                flips = (rng.random(length) < p.mutation_rate).tolist()
                 child = tuple(x ^ 1 if f else x for x, f in zip(child, flips))
             children.append(child)
         population = children
@@ -367,7 +355,7 @@ def solve_bco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
     all_ones = (1,) * length
     sites = [all_ones]
     for _ in range(p.population - 1):
-        sites.append(tuple(int(b) for b in rng.integers(0, 2, size=length)))
+        sites.append(tuple(rng.integers(0, 2, size=length).tolist()))
     stale = [0] * p.population
     best_cost, best_flows = decoder.decode(all_ones)
 
@@ -421,64 +409,58 @@ def solve_bco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
             key=lambda i: (-stale[i], i),
         )
         for i in stuck[:max_scouts]:
-            sites[i] = tuple(int(b) for b in rng.integers(0, 2, size=length))
+            sites[i] = tuple(rng.integers(0, 2, size=length).tolist())
             stale[i] = 0
     return make_solution(
         inst, best_flows, "bco", runtime_ms=(time.perf_counter() - started) * 1e3
     )
 
 
+def _uniform_draws(rng: np.random.Generator, block: int = 4096):
+    """rng.random() values one at a time, drawn from the generator in
+    blocks; the stream is the same as that of scalar calls."""
+    while True:
+        yield from rng.random(block).tolist()
+
+
 def _ant_walk(
-    rng: np.random.Generator,
+    draws,
     source: int,
     target: int,
-    guided: list[list[tuple[int, tuple[int, int], float]]],
-    pheromone: dict[tuple[int, int], float],
-    alpha: float,
+    hops: list[list[tuple[int, int, float]]],
 ) -> list[int]:
-    """Randomized depth-first walk from the source to the target, choosing
-    next hops in proportion to pheromone^alpha * desirability. Complete:
-    dead ends backtrack, so any reachable target is found."""
-    plain = alpha == 1.0
+    """Randomized depth-first walk from the source to the target. ``hops[u]``
+    lists (neighbour, edge id, pheromone^alpha * desirability) by
+    neighbour; the next hop is drawn among the unvisited ones in
+    proportion to the weight. Complete: dead ends backtrack, so any
+    reachable target is found. Returns the ids of the path's edges."""
     path = [source]
+    via: list[int] = []
     visited = {source}
     while True:
         u = path[-1]
         if u == target:
-            return path
-        options = [entry for entry in guided[u] if entry[0] not in visited]
+            return via
+        options = [hop for hop in hops[u] if hop[0] not in visited]
         if not options:
             path.pop()
+            via.pop()
             continue
-        if plain:
-            weights = [pheromone[key] * desir for _, key, desir in options]
+        r = next(draws)
+        if len(options) == 1:
+            v, e, _ = options[0]
         else:
-            weights = [pheromone[key] ** alpha * desir for _, key, desir in options]
-        total = sum(weights)
-        r = rng.random() * total
-        j = 0
-        acc = weights[0]
-        while acc < r and j + 1 < len(options):
-            j += 1
-            acc += weights[j]
-        v = options[j][0]
+            weights = [hop[2] for hop in options]
+            r *= sum(weights)
+            j = 0
+            acc = weights[0]
+            while acc < r and j + 1 < len(weights):
+                j += 1
+                acc += weights[j]
+            v, e, _ = options[j]
         visited.add(v)
         path.append(v)
-
-
-def _paths_to_tree_flows(
-    inst: Instance, support: set[tuple[int, int]]
-) -> dict[tuple[int, int], float]:
-    """Merge a set of undirected support edges into a flow tree.
-
-    Cycles are resolved by taking the minimum spanning tree of the support
-    (repeatedly dropping the dearest removable cycle edge), then pruning
-    non-required leaves and assigning demand-law flows."""
-    required = {inst.source} | set(inst.terminals)
-    edges = sorted((inst.graph.weight(u, v), u, v) for u, v in support)
-    tree = _kruskal(inst.graph.node_count, edges)
-    tree = _prune_leaves(tree, required)
-    return _rooted_demand_flows(tree, inst.source, inst.terminals)
+        via.append(e)
 
 
 def solve_aco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolution:
@@ -486,47 +468,58 @@ def solve_aco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
 
     Each ant routes every terminal with a pheromone-guided walk; the walks
     are merged like the shortest-path union (shared edges carry one stream
-    at the larger demand). The global best deposits pheromone each
-    iteration after evaporation."""
+    at the larger demand). The union of an ant's walks is cut to its
+    minimum spanning tree (dropping the dearest removable cycle edges),
+    then pruned of non-required leaves. The global best deposits
+    pheromone each iteration after evaporation."""
     started = time.perf_counter()
     _validated(inst)
     p = p or MetaheuristicParams()
-    rng = np.random.Generator(np.random.PCG64(p.seed))
-    pheromone = {(u, v): 1.0 for u, v, _ in inst.graph.edges}
-    guided: list[list[tuple[int, tuple[int, int], float]]] = [
-        [] for _ in range(inst.graph.node_count)
-    ]
-    for u, v, w in inst.graph.edges:
-        desir = (1.0 / max(w, 1e-12)) ** p.heuristic_weight
-        guided[u].append((v, (u, v), desir))
-        guided[v].append((u, (u, v), desir))
-    for entries in guided:
+    draws = _uniform_draws(np.random.Generator(np.random.PCG64(p.seed)))
+    graph = inst.graph
+    n = graph.node_count
+    # edge ids follow Kruskal order (weight, u, v), so sorted ids are too
+    ordered = sorted((w, u, v) for u, v, w in graph.edges)
+    edge_id = {(u, v): i for i, (_, u, v) in enumerate(ordered)}
+    weight = _oriented_weights(inst)
+    ends = [(u, v) for _, u, v in ordered]
+    desir = [(1.0 / max(w, 1e-12)) ** p.heuristic_weight for w, _, _ in ordered]
+    pheromone = [1.0] * len(ordered)
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, (_, u, v) in enumerate(ordered):
+        incident[u].append((v, i))
+        incident[v].append((u, i))
+    for entries in incident:
         entries.sort()
+    alpha = p.pheromone_weight
+    terminals = sorted(inst.terminals)
     best_cost = math.inf
     best_flows: dict[tuple[int, int], float] | None = None
-    best_support: set[tuple[int, int]] = set()
+    best_support: set[int] = set()
     for _ in range(p.iterations):
+        if alpha == 1.0:
+            hops = [[(v, i, pheromone[i] * desir[i]) for v, i in nb] for nb in incident]
+        else:
+            hops = [
+                [(v, i, pheromone[i] ** alpha * desir[i]) for v, i in nb] for nb in incident
+            ]
         for _ in range(p.ant_count):
-            support: set[tuple[int, int]] = set()
-            for t in sorted(inst.terminals):
-                path = _ant_walk(
-                    rng, inst.source, t, guided, pheromone, p.pheromone_weight
-                )
-                for a, b in zip(path, path[1:]):
-                    support.add((min(a, b), max(a, b)))
-            flows = _paths_to_tree_flows(inst, support)
-            cost = sum(
-                inst.graph.weight(u, v) * f for (u, v), f in sorted(flows.items())
-            )
+            support: set[int] = set()
+            for t in terminals:
+                support.update(_ant_walk(draws, inst.source, t, hops))
+            ids = sorted(support)
+            # a spanning tree of the walks' union has at most len(ids) edges
+            tree = _kruskal(n, (ends[i] for i in ids), len(ids))
+            flows = _tree_flows(n, tree, inst.source, inst.terminals)
+            cost = _flow_cost(weight, flows)
             if cost < best_cost:
                 best_cost = cost
                 best_flows = flows
-                best_support = {(min(u, v), max(u, v)) for u, v in flows}
-        for key in pheromone:
-            pheromone[key] *= 1.0 - p.evaporation
+                best_support = {edge_id[(min(u, v), max(u, v))] for u, v in flows}
+        pheromone = [x * (1.0 - p.evaporation) for x in pheromone]
         deposit = 1.0 / max(best_cost, 1e-12)
-        for key in sorted(best_support):
-            pheromone[key] += deposit
+        for i in best_support:
+            pheromone[i] += deposit
     return make_solution(
         inst, best_flows, "aco", runtime_ms=(time.perf_counter() - started) * 1e3
     )
