@@ -12,9 +12,9 @@ on the CLI) to record wall-clock times instead of zeros.
 from __future__ import annotations
 
 import enum
+import logging
 import math
 import os
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -41,6 +41,8 @@ class SweepKind(enum.Enum):
     USER_COUNT = "user-count"
     DEMAND_VARIANCE = "demand-variance"
 
+
+_log = logging.getLogger("ostflow")
 
 ALGORITHM_NAMES = ("ost", "oracle", "mst", "spt", "ga", "aco", "bco")
 
@@ -136,10 +138,9 @@ def _run_cell(cfg: SweepConfig, value: float, seed: int) -> list[ResultRow]:
     rows = []
     for name in cfg.algorithms:
         if name == "ost" and inst.terminal_count > cfg.ost_terminal_cap:
-            print(
-                f"warning: skipping ost at value {value} seed {seed}: "
-                f"{inst.terminal_count} terminals exceed cap {cfg.ost_terminal_cap}",
-                file=sys.stderr,
+            _log.warning(
+                "skipping ost at value %s seed %s: %s terminals exceed cap %s",
+                value, seed, inst.terminal_count, cfg.ost_terminal_cap,
             )
             continue
         sol = _solve_named(inst, name, params)

@@ -33,7 +33,7 @@ from .serialize import (
     serialize_solution,
 )
 from .solver import solve_ost
-from .validation import check_constraints, check_flow_law, check_tree
+from .validation import check_constraints, check_cost, check_flow_law, check_tree
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -249,7 +249,7 @@ def cmd_validate(args) -> int:
     except (OSError, InstanceError) as exc:
         print(f"ostflow: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    violations = list(check_constraints(inst, solution))
+    violations = check_constraints(inst, solution) + check_cost(inst, solution)
     if args.tree or args.flow_law:
         tree_violations = check_tree(inst, solution)
         violations.extend(tree_violations)

@@ -10,6 +10,7 @@ round-tripping repr, so parse(serialize(x)) == x holds exactly.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from .model import FlowSolution, Graph, Instance, InstanceError
@@ -110,15 +111,28 @@ def serialize_instance(inst: Instance) -> str:
     )
 
 
+def _finite(value: Any, where: str) -> float:
+    """``value`` as a float; json.loads accepts NaN, Infinity and integers
+    too large for a float, none of which a cost or a flow can be."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise InstanceError(f"{where}: expected number")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise InstanceError(f"{where}: expected a finite number, got {number}")
+    return number
+
+
 def parse_solution(text: str) -> FlowSolution:
     """Parse a solution document; raises InstanceError on any defect."""
     doc = _load_object(text, "solution")
     _reject_unknown(doc, _SOLUTION_KEYS, "solution document")
     if not isinstance(doc["algorithm"], str):
         raise InstanceError("algorithm: expected string")
-    for key in ("cost", "runtime_ms"):
-        if not isinstance(doc[key], (int, float)) or isinstance(doc[key], bool):
-            raise InstanceError(f"{key}: expected number")
+    cost = _finite(doc["cost"], "cost")
+    runtime_ms = _finite(doc["runtime_ms"], "runtime_ms")
     flows_raw = doc["flows"]
     if not isinstance(flows_raw, list):
         raise InstanceError("flows: expected an array of {from, to, flow} objects")
@@ -130,16 +144,12 @@ def parse_solution(text: str) -> FlowSolution:
         u, v, f = entry["from"], entry["to"], entry["flow"]
         if not isinstance(u, int) or not isinstance(v, int):
             raise InstanceError(f"flows[{i}]: node ids must be integers")
-        if not isinstance(f, (int, float)) or isinstance(f, bool):
-            raise InstanceError(f"flows[{i}]: flow must be a number")
+        f = _finite(f, f"flows[{i}].flow")
         if (u, v) in flows:
             raise InstanceError(f"flows[{i}]: duplicate flow edge ({u}, {v})")
-        flows[(u, v)] = float(f)
+        flows[(u, v)] = f
     return FlowSolution(
-        flows=flows,
-        cost=float(doc["cost"]),
-        algorithm=doc["algorithm"],
-        runtime_ms=float(doc["runtime_ms"]),
+        flows=flows, cost=cost, algorithm=doc["algorithm"], runtime_ms=runtime_ms
     )
 
 

@@ -1,6 +1,7 @@
 """Feasibility and structure checks for flow solutions.
 
-Three independent batteries:
+Three independent batteries, plus ``check_cost`` for documents whose
+cost is stated rather than computed:
 
 * ``check_constraints``: the feasibility constraints every solution must
   satisfy (positive flows on real edges, relay nodes never push more than
@@ -35,6 +36,7 @@ class Code(enum.Enum):
     LEAF_NOT_TERMINAL = "LEAF_NOT_TERMINAL"
     BAD_ORIENTATION = "BAD_ORIENTATION"
     FLOW_LAW = "FLOW_LAW"
+    COST_MISMATCH = "COST_MISMATCH"
 
     def __str__(self) -> str:
         return self.value
@@ -58,6 +60,25 @@ def total_cost(inst: Instance, sol: FlowSolution) -> float:
             raise ValueError(f"flow on edge ({u}, {v}) absent from graph")
         cost += inst.graph.weight(u, v) * f
     return cost
+
+
+def check_cost(inst: Instance, sol: FlowSolution) -> list[Violation]:
+    """The stated cost must equal sum(weight * flow) within
+    TOL * max(1, |cost|). Flows on non-edges have no cost to compare;
+    ``check_constraints`` reports them."""
+    try:
+        actual = total_cost(inst, sol)
+    except ValueError:
+        return []
+    if abs(sol.cost - actual) > TOL * max(1.0, abs(sol.cost)):
+        return [
+            Violation(
+                Code.COST_MISMATCH,
+                "cost",
+                f"stated cost {sol.cost} but sum of weight * flow is {actual}",
+            )
+        ]
+    return []
 
 
 def check_constraints(inst: Instance, sol: FlowSolution) -> list[Violation]:

@@ -45,7 +45,7 @@ def corpus() -> list[tuple[dict, dict]]:
     for i, (n, k) in enumerate(grid):
         spec = _generated(n, 3.0 if i % 2 else 4.0, k, 100 + i)
         entries.append((spec, FAST))
-        if n <= 30:
+        if n == 20:
             entries.append((spec, DEFAULT))
     for i, (n, k) in enumerate(((30, 4), (40, 6), (60, 8), (100, 8))):
         entries.append((_generated(n, 4.0, k, 200 + i), FAST_ALPHA2))

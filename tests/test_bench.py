@@ -86,7 +86,7 @@ def test_run_sweep_user_count_monotone_means(monkeypatch):
     assert means[1] <= means[3] + 1e-9 <= means[5] + 2e-9
 
 
-def test_run_sweep_skips_ost_above_cap(monkeypatch, capsys):
+def test_run_sweep_skips_ost_above_cap(monkeypatch, caplog):
     monkeypatch.setenv("OST_THREADS", "1")
     cfg = small_cfg(
         sweep_kind=SweepKind.USER_COUNT,
@@ -97,7 +97,12 @@ def test_run_sweep_skips_ost_above_cap(monkeypatch, capsys):
     table = run_sweep(cfg)
     assert [r.algorithm for r in table if r.sweep_value == 2] == ["ost", "spt"]
     assert [r.algorithm for r in table if r.sweep_value == 5] == ["spt"]
-    assert "skipping ost" in capsys.readouterr().err
+    # the skip is a warning on the "ostflow" logger, one per skipped cell
+    warnings = [r for r in caplog.records if r.name == "ostflow"]
+    assert [r.levelname for r in warnings] == ["WARNING"]
+    assert warnings[0].getMessage() == (
+        "skipping ost at value 5 seed 0: 5 terminals exceed cap 3"
+    )
 
 
 def test_run_sweep_demand_variance_spread(monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -175,6 +176,68 @@ def test_validate_nonedge_flow(capsys, tmp_path, w1_path):
     }))
     code, out, _ = run(capsys, "validate", "--instance", w1_path, "--solution", sol_path)
     assert code == 3 and "NONEDGE_FLOW" in out
+
+
+def _w1_optimum_doc(**changes):
+    doc = {
+        "algorithm": "x",
+        "cost": 0.35,
+        "flows": [
+            {"from": 0, "to": 3, "flow": 1.0},
+            {"from": 1, "to": 2, "flow": 0.25},
+            {"from": 3, "to": 1, "flow": 0.25},
+        ],
+        "runtime_ms": 0.0,
+    }
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+def test_validate_reports_cost_mismatch(capsys, tmp_path, w1_path):
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(_w1_optimum_doc())
+    args = ("validate", "--instance", w1_path, "--solution", sol_path, "--flow-law")
+    assert run(capsys, *args)[:2] == (0, "")
+    sol_path.write_text(_w1_optimum_doc(cost=999))
+    code, out, _ = run(capsys, *args)
+    assert code == 3
+    assert len(out.splitlines()) == 1
+    assert out.startswith("COST_MISMATCH cost stated cost 999.0 but sum of weight")
+
+
+@pytest.mark.parametrize(
+    "changes,field",
+    [
+        ({"cost": -math.inf}, "cost"),
+        ({"cost": math.inf}, "cost"),
+        ({"runtime_ms": math.nan}, "runtime_ms"),
+        (
+            {
+                "cost": -math.inf,
+                "flows": [{"from": 0, "to": 3, "flow": math.inf}],
+            },
+            "cost",
+        ),
+        (
+            {
+                "flows": [
+                    {"from": 0, "to": 3, "flow": 1.0},
+                    {"from": 1, "to": 2, "flow": math.nan},
+                    {"from": 3, "to": 1, "flow": 0.25},
+                ]
+            },
+            r"flows[1].flow",
+        ),
+    ],
+)
+def test_validate_rejects_non_finite_numbers(capsys, tmp_path, w1_path, changes, field):
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(_w1_optimum_doc(**changes))
+    code, out, err = run(
+        capsys, "validate", "--instance", w1_path, "--solution", sol_path
+    )
+    assert code == 1 and out == ""
+    assert err.startswith(f"ostflow: {field}: expected a finite number, got ")
 
 
 def test_validate_parse_failure_exits_1(capsys, tmp_path, w1_path):

@@ -129,3 +129,22 @@ def test_solution_flows_sorted_canonically():
 def test_parse_solution_rejects_unknown_fields():
     with pytest.raises(InstanceError, match="unknown field"):
         parse_solution('{"algorithm": "x", "cost": 0, "flows": [], "runtime_ms": 0, "z": 1}')
+
+
+_SOLUTION = '{"algorithm": "x", "cost": 0.5, "flows": [{"from": 0, "to": 1, "flow": 1.0}], "runtime_ms": 0}'
+
+
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ('"cost": 0.5', '"cost": NaN', "cost: expected a finite number, got nan"),
+        ('"cost": 0.5', '"cost": -Infinity', "cost: expected a finite number, got -inf"),
+        ('"cost": 0.5', '"cost": 1' + "0" * 400, "cost: expected a finite number, got inf"),
+        ('"runtime_ms": 0', '"runtime_ms": Infinity', "runtime_ms: expected a finite number"),
+        ('"flow": 1.0', '"flow": NaN', r"flows\[0\]\.flow: expected a finite number, got nan"),
+    ],
+)
+def test_parse_solution_rejects_non_finite_numbers(old, new, message):
+    assert parse_solution(_SOLUTION).cost == 0.5
+    with pytest.raises(InstanceError, match=message):
+        parse_solution(_SOLUTION.replace(old, new))

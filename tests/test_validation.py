@@ -10,6 +10,7 @@ from ostflow import (
     check_tree,
     total_cost,
 )
+from ostflow.validation import check_cost
 
 from helpers import W1_OPT_FLOWS, close
 
@@ -33,6 +34,35 @@ def test_total_cost_w1_optimum(w1):
 def test_total_cost_single_edge():
     inst = Instance(graph=Graph(2, ((0, 1, 0.5),)), source=0, terminals={1: 0.5})
     assert close(total_cost(inst, _sol({(0, 1): 0.5})), 0.25)
+
+
+@pytest.mark.parametrize(
+    "cost,flagged",
+    [
+        (0.35, False),
+        (0.35 + 0.9e-9, False),
+        (0.35 + 1.1e-9, True),
+        (0.35 - 1.1e-9, True),
+        (999.0, True),
+    ],
+)
+def test_check_cost_tolerance(w1, cost, flagged):
+    sol = FlowSolution(flows=dict(W1_OPT_FLOWS), cost=cost, algorithm="test")
+    assert codes(check_cost(w1, sol)) == ({Code.COST_MISMATCH} if flagged else set())
+
+
+def test_check_cost_tolerance_scales_with_large_costs():
+    inst = Instance(graph=Graph(2, ((0, 1, 1.0),)), source=0, terminals={1: 1e4})
+    exact = FlowSolution(flows={(0, 1): 1e4}, cost=1e4 + 0.9e-5, algorithm="test")
+    assert check_cost(inst, exact) == []
+    off = FlowSolution(flows={(0, 1): 1e4}, cost=1e4 + 1.1e-5, algorithm="test")
+    assert codes(check_cost(inst, off)) == {Code.COST_MISMATCH}
+
+
+def test_check_cost_leaves_nonedge_flows_to_constraints(w1):
+    sol = FlowSolution(flows={(0, 2): 1.0}, cost=5.0, algorithm="test")
+    assert check_cost(w1, sol) == []
+    assert codes(check_constraints(w1, sol)) >= {Code.NONEDGE_FLOW}
 
 
 def test_total_cost_rejects_nonedge(w1):
