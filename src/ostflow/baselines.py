@@ -23,6 +23,7 @@ import numpy as np
 
 from .model import (
     FlowSolution,
+    Graph,
     InfeasibleInstanceError,
     Instance,
     make_solution,
@@ -129,18 +130,9 @@ def _tree_flows(
     return flows
 
 
-def _flow_cost(
-    weight: dict[tuple[int, int], float], flows: dict[tuple[int, int], float]
-) -> float:
-    """Sum of weight * flow in edge order; ``weight`` maps both
-    orientations of every edge."""
-    return sum(weight[key] * f for key, f in sorted(flows.items()))
-
-
-def _oriented_weights(inst: Instance) -> dict[tuple[int, int], float]:
-    weight = {(u, v): w for u, v, w in inst.graph.edges}
-    weight.update({(v, u): w for u, v, w in inst.graph.edges})
-    return weight
+def _flow_cost(graph: Graph, flows: dict[tuple[int, int], float]) -> float:
+    """Sum of weight * flow in edge order."""
+    return sum(graph.weight(u, v) * f for (u, v), f in sorted(flows.items()))
 
 
 def solve_mst_prune(inst: Instance) -> FlowSolution:
@@ -229,7 +221,6 @@ class _SubsetDecoder:
         ordered = sorted((w, u, v) for u, v, w in inst.graph.edges)
         self._u = np.array([u for _, u, _ in ordered], dtype=np.intp)
         self._v = np.array([v for _, _, v in ordered], dtype=np.intp)
-        self._weight = _oriented_weights(inst)
         # Any feasible cost is below this: the whole graph at max demand.
         self.penalty = (
             sum(w for _, _, w in inst.graph.edges) * inst.max_demand() + 1.0
@@ -264,7 +255,7 @@ class _SubsetDecoder:
         if len(tree) != count - 1:
             return (self.penalty, None)
         flows = _tree_flows(inst.graph.node_count, tree, inst.source, inst.terminals)
-        return (_flow_cost(self._weight, flows), flows)
+        return (_flow_cost(inst.graph, flows), flows)
 
 
 def decode_node_subset(
@@ -481,7 +472,6 @@ def solve_aco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
     # edge ids follow Kruskal order (weight, u, v), so sorted ids are too
     ordered = sorted((w, u, v) for u, v, w in graph.edges)
     edge_id = {(u, v): i for i, (_, u, v) in enumerate(ordered)}
-    weight = _oriented_weights(inst)
     ends = [(u, v) for _, u, v in ordered]
     desir = [(1.0 / max(w, 1e-12)) ** p.heuristic_weight for w, _, _ in ordered]
     pheromone = [1.0] * len(ordered)
@@ -511,7 +501,7 @@ def solve_aco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
             # a spanning tree of the walks' union has at most len(ids) edges
             tree = _kruskal(n, (ends[i] for i in ids), len(ids))
             flows = _tree_flows(n, tree, inst.source, inst.terminals)
-            cost = _flow_cost(weight, flows)
+            cost = _flow_cost(graph, flows)
             if cost < best_cost:
                 best_cost = cost
                 best_flows = flows
