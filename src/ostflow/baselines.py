@@ -213,8 +213,7 @@ class _SubsetDecoder:
         n = inst.graph.node_count
         required = [inst.source, *inst.terminals]
         reachable = inst.graph.reachable_from(inst.source)
-        self.free = sorted(reachable - set(required))
-        self._free = np.array(self.free, dtype=np.intp)
+        self.free = np.array(sorted(reachable - set(required)), dtype=np.intp)
         self._required = np.zeros(n, dtype=bool)
         self._required[required] = True
         # edge endpoints in Kruskal order (weight, u, v)
@@ -233,7 +232,7 @@ class _SubsetDecoder:
         if hit is not None:
             return hit
         mask = self._required.copy()
-        mask[self._free[np.array(genome, dtype=bool)]] = True
+        mask[self.free[np.array(genome, dtype=bool)]] = True
         result = self.decode_mask(mask, len(self.inst.terminals) + 1 + sum(genome))
         self._cache[genome] = result
         return result
@@ -407,11 +406,11 @@ def solve_bco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
     )
 
 
-def _uniform_draws(rng: np.random.Generator, block: int = 4096):
+def _uniform_draws(rng: np.random.Generator):
     """rng.random() values one at a time, drawn from the generator in
     blocks; the stream is the same as that of scalar calls."""
     while True:
-        yield from rng.random(block).tolist()
+        yield from rng.random(4096).tolist()
 
 
 def _ant_walk(
