@@ -11,40 +11,19 @@ on the CLI) to record wall-clock times instead of zeros.
 
 from __future__ import annotations
 
-import enum
 import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .baselines import (
-    MetaheuristicParams,
-    solve_aco,
-    solve_bco,
-    solve_ga,
-    solve_mst_prune,
-    solve_sp_union,
-)
+from .baselines import MetaheuristicParams
 from .generator import GenConfig, generate_instance, generate_regular_instance
-from .model import FlowSolution, Instance
-from .oracle import brute_force_optimum
-from .solver import solve_ost
+from .model import Instance
+from .registry import SOLVERS, SWEEP_ALGORITHMS, SweepKind
 from .validation import check_constraints
 
-
-class SweepKind(enum.Enum):
-    NODE_COUNT = "node-count"
-    NODE_COUNT_SMALL = "node-count-small"
-    AVG_DEGREE = "avg-degree"
-    REGULAR_DEGREE = "regular-degree"
-    USER_COUNT = "user-count"
-    DEMAND_VARIANCE = "demand-variance"
-
-
 _log = logging.getLogger("ostflow")
-
-ALGORITHM_NAMES = ("ost", "oracle", "mst", "spt", "ga", "aco", "bco")
 
 DEFAULT_BASE = GenConfig(node_count=100, avg_degree=4.0, terminal_count=8)
 
@@ -55,7 +34,7 @@ class SweepConfig:
     values: tuple[float, ...]
     trials: int = 30
     base: GenConfig = DEFAULT_BASE
-    algorithms: tuple[str, ...] = ("ost", "mst", "spt", "ga", "aco", "bco")
+    algorithms: tuple[str, ...] = SWEEP_ALGORITHMS
     params: MetaheuristicParams = MetaheuristicParams()
     ost_terminal_cap: int = 16
     measure_runtime: bool = False
@@ -69,7 +48,7 @@ class SweepConfig:
             raise ValueError("values must be strictly increasing")
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        unknown = [a for a in self.algorithms if a not in ALGORITHM_NAMES]
+        unknown = [a for a in self.algorithms if a not in SOLVERS]
         if unknown:
             raise ValueError(f"unknown algorithm(s): {unknown}")
         if not self.algorithms:
@@ -93,7 +72,7 @@ class SummaryRow:
     algorithm: str
     mean_cost: float
     std_cost: float
-    improvement_pct: float
+    improvement_pct: float | None  # None: ost did not run at this value
 
 
 def _cell_instance(cfg: SweepConfig, value: float, seed: int) -> Instance:
@@ -114,24 +93,6 @@ def _cell_instance(cfg: SweepConfig, value: float, seed: int) -> Instance:
     raise ValueError(f"unhandled sweep kind {kind}")
 
 
-def _solve_named(inst: Instance, name: str, params: MetaheuristicParams) -> FlowSolution:
-    if name == "ost":
-        return solve_ost(inst)
-    if name == "oracle":
-        return brute_force_optimum(inst)
-    if name == "mst":
-        return solve_mst_prune(inst)
-    if name == "spt":
-        return solve_sp_union(inst)
-    if name == "ga":
-        return solve_ga(inst, params)
-    if name == "aco":
-        return solve_aco(inst, params)
-    if name == "bco":
-        return solve_bco(inst, params)
-    raise ValueError(f"unknown algorithm {name}")
-
-
 def _run_cell(cfg: SweepConfig, value: float, seed: int) -> list[ResultRow]:
     inst = _cell_instance(cfg, value, seed)
     params = replace(cfg.params, seed=seed)
@@ -143,7 +104,7 @@ def _run_cell(cfg: SweepConfig, value: float, seed: int) -> list[ResultRow]:
                 value, seed, inst.terminal_count, cfg.ost_terminal_cap,
             )
             continue
-        sol = _solve_named(inst, name, params)
+        sol = SOLVERS[name](inst, params)
         feasible = not check_constraints(inst, sol)
         rows.append(
             ResultRow(
@@ -196,21 +157,27 @@ def run_sweep(cfg: SweepConfig) -> list[ResultRow]:
 
 def summarize(table: list[ResultRow]) -> list[SummaryRow]:
     """Per (value, algorithm) means and the improvement of ost over each
-    algorithm: 100 * (mean_alg - mean_ost) / mean_alg."""
+    algorithm: 100 * (mean_alg - mean_ost) / mean_alg.
+
+    A value without ost rows (the terminal cap skipped it) gets None;
+    a table without any ost rows has nothing to compare against.
+    """
     groups: dict[tuple[float, str], list[float]] = {}
     for row in table:
         groups.setdefault((row.sweep_value, row.algorithm), []).append(row.cost)
-    values = sorted({v for v, _ in groups})
-    missing = [v for v in values if (v, "ost") not in groups]
-    if missing:
-        raise ValueError(f"missing ost rows for sweep value(s) {missing}")
+    if not any(algorithm == "ost" for _, algorithm in groups):
+        raise ValueError("missing ost rows: no sweep value ran ost")
     summary = []
     for value, algorithm in sorted(groups):
         costs = groups[(value, algorithm)]
         mean = sum(costs) / len(costs)
         var = sum((c - mean) ** 2 for c in costs) / len(costs)
-        mean_ost = sum(groups[(value, "ost")]) / len(groups[(value, "ost")])
-        improvement = 0.0 if mean == 0 else 100.0 * (mean - mean_ost) / mean
+        ost = groups.get((value, "ost"))
+        if ost is None:
+            improvement = None
+        else:
+            mean_ost = sum(ost) / len(ost)
+            improvement = 0.0 if mean == 0 else 100.0 * (mean - mean_ost) / mean
         summary.append(
             SummaryRow(
                 sweep_value=value,
@@ -228,6 +195,8 @@ _SUMMARY_HEADER = "sweep_value,algorithm,mean_cost,std_cost,improvement_pct"
 
 
 def _fmt(x) -> str:
+    if x is None:
+        return ""
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, int):

@@ -14,26 +14,18 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .baselines import (
-    MetaheuristicParams,
-    solve_aco,
-    solve_bco,
-    solve_ga,
-    solve_mst_prune,
-    solve_sp_union,
-)
-from .bench import SweepConfig, SweepKind, emit_csv, run_sweep, summarize
-from .generator import DEFAULT_DEMAND_SET, GenConfig, generate_instance
 from .model import InfeasibleInstanceError, InstanceError, validate_instance
-from .oracle import brute_force_optimum
+from .registry import SOLVERS, SWEEP_ALGORITHMS, SweepKind
 from .serialize import (
     parse_instance,
     parse_solution,
     serialize_instance,
     serialize_solution,
 )
-from .solver import solve_ost
 from .validation import check_constraints, check_cost, check_flow_law, check_tree
+
+# Each command imports the rest of the package (and numpy with it) when
+# it runs, so start-up pays only for the command given.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -78,7 +70,9 @@ def _parse_demand_set(spec: str) -> tuple[tuple[float, float], ...]:
     return tuple(pairs)
 
 
-def _metaheuristic_params(args) -> MetaheuristicParams:
+def _metaheuristic_params(args):
+    from .baselines import MetaheuristicParams
+
     return MetaheuristicParams(
         population=args.pop,
         iterations=args.iters,
@@ -122,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", parents=[], help="solve an instance file")
     solve.add_argument("--instance", required=True, help="instance document path")
     solve.add_argument("--algorithm", required=True,
-                       choices=["ost", "oracle", "mst", "spt", "ga", "aco", "bco"])
+                       choices=list(SOLVERS))
     solve.add_argument("--output", default=None,
                        help="solution document path (default stdout)")
     solve.add_argument("--timing", action="store_true",
@@ -152,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--values", required=True,
                        help="comma-separated sweep values, strictly increasing")
     bench.add_argument("--trials", type=int, default=30)
-    bench.add_argument("--algorithms", default="ost,mst,spt,ga,aco,bco",
+    bench.add_argument("--algorithms", default=",".join(SWEEP_ALGORITHMS),
                        help="comma-separated algorithm names")
     bench.add_argument("--nodes", type=int, default=100, help="base node count")
     bench.add_argument("--avg-degree", type=float, default=4.0, help="base average degree")
@@ -184,18 +178,10 @@ def cmd_solve(args) -> int:
         for line in report:
             print(f"ostflow: infeasible instance: {line}", file=sys.stderr)
         return EXIT_INFEASIBLE_INSTANCE
-    params = _metaheuristic_params(args)
-    solvers = {
-        "ost": solve_ost,
-        "oracle": brute_force_optimum,
-        "mst": solve_mst_prune,
-        "spt": solve_sp_union,
-        "ga": lambda i: solve_ga(i, params),
-        "aco": lambda i: solve_aco(i, params),
-        "bco": lambda i: solve_bco(i, params),
-    }
+    solver = SOLVERS[args.algorithm]
     try:
-        solution = solvers[args.algorithm](inst)
+        params = _metaheuristic_params(args) if solver.tuned else None
+        solution = solver(inst, params)
     except InfeasibleInstanceError as exc:
         print(f"ostflow: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE_INSTANCE
@@ -219,6 +205,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .generator import DEFAULT_DEMAND_SET, GenConfig, generate_instance
+
     try:
         demand_set = (
             _parse_demand_set(args.demands) if args.demands else DEFAULT_DEMAND_SET
@@ -261,6 +249,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import SweepConfig, emit_csv, run_sweep, summarize
+    from .generator import DEFAULT_DEMAND_SET, GenConfig
+
     try:
         values = tuple(float(v) for v in args.values.split(","))
         demand_set = (

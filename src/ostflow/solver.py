@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
 import time
 from dataclasses import dataclass, replace
 
@@ -38,12 +39,16 @@ from .model import (
     FlowSolution,
     InfeasibleInstanceError,
     Instance,
+    InstanceError,
     make_solution,
     validate_instance,
 )
 
 # Decision codes: how cost[v, S] was last improved.
 UNSET, LEAF, MERGE, EXTEND = 0, 1, 2, 3
+
+# Bytes per (node, subset) state: float64 cost, int8 kind, int32 arg.
+STATE_BYTES = 13
 
 
 @dataclass
@@ -72,13 +77,33 @@ class DpTable:
         return (1 << len(self.terminal_index)) - 1
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the OS does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def dp_init(inst: Instance) -> DpTable:
-    """Table with boundary states only: each terminal costs 0 to itself."""
+    """Table with boundary states only: each terminal costs 0 to itself.
+
+    Raises InstanceError, before allocating anything, when the table
+    would not fit in the machine's physical memory.
+    """
     terms = sorted(inst.terminals)
-    terminal_index = {t: i for i, t in enumerate(terms)}
-    demands = [inst.terminals[t] for t in terms]
     k = len(terms)
     m = inst.graph.node_count
+    need = m * (1 << k) * STATE_BYTES
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise InstanceError(
+            f"state space too large: {m} nodes x 2^{k} terminal subsets need a "
+            f"{need / 2**30:.1f} GiB table ({need} bytes), more than the "
+            f"{have / 2**30:.1f} GiB of physical memory"
+        )
+    terminal_index = {t: i for i, t in enumerate(terms)}
+    demands = [inst.terminals[t] for t in terms]
     xmax = [0.0] * (1 << k)
     for mask in range(1, 1 << k):
         low = mask & -mask

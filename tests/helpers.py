@@ -1,8 +1,10 @@
 """Shared assertions and reference values for the suite."""
 
 import hashlib
+import os
 from dataclasses import replace
 
+import ostflow
 from ostflow import (
     GenConfig,
     Graph,
@@ -28,6 +30,27 @@ def flows_close(actual: dict, expected: dict, tol: float = 1e-9) -> bool:
     if set(actual) != set(expected):
         return False
     return all(abs(actual[k] - expected[k]) <= tol for k in expected)
+
+
+def oversized_instance():
+    """Path 0-1-...-40 with 40 terminals: an ost table of 41·2^40 states."""
+    return Instance(
+        graph=Graph(41, tuple((v, v + 1, 1.0) for v in range(40))),
+        source=0,
+        terminals={v: 1.0 for v in range(1, 41)},
+    )
+
+
+def child_env() -> dict:
+    """Environment for a child Python that imports the ostflow under test.
+
+    The package's absolute parent directory goes first on PYTHONPATH, so a
+    relative entry such as ``src`` does not matter to a child in another
+    working directory.
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(ostflow.__file__)))
+    pythonpath = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=pythonpath)
 
 
 def stray_component_instance():

@@ -8,7 +8,6 @@ runs thirty seeds of every algorithm at its default parameters.
 
 import heapq
 import math
-import os
 import subprocess
 import sys
 import time
@@ -16,7 +15,6 @@ import time
 import numpy as np
 import pytest
 
-import ostflow
 from ostflow import (
     GenConfig,
     Graph,
@@ -36,7 +34,7 @@ from ostflow import (
     summarize,
 )
 
-from helpers import W1_OPT_FLOWS, close, flows_close
+from helpers import W1_OPT_FLOWS, child_env, close, flows_close
 
 TOL = 1e-9
 
@@ -345,17 +343,8 @@ def test_criterion_8_property_suite():
     )
 
 
-# The directory holding the ostflow package this process imported. The CLI
-# child runs in tmp_path, where a relative PYTHONPATH such as "src" would not
-# resolve, so it gets this absolute path ahead of any inherited entries.
-_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(ostflow.__file__)))
-
-
 def _cli(tmp_path, *argv: str) -> bytes:
-    pythonpath = os.pathsep.join(
-        p for p in (_PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p
-    )
-    env = dict(os.environ, OST_THREADS="1", PYTHONPATH=pythonpath)
+    env = dict(child_env(), OST_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-m", "ostflow.cli", *argv],
         capture_output=True,

@@ -1,12 +1,14 @@
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
 from ostflow import serialize_instance, serialize_solution, solve_ost
 from ostflow.cli import main
 
-from helpers import close
+from helpers import child_env, close, oversized_instance
 
 
 @pytest.fixture
@@ -103,16 +105,33 @@ def test_solve_oracle_limit_exits_1(capsys, tmp_path):
 
 
 def test_solve_refuses_infeasible_solution(capsys, w1_path, monkeypatch):
-    import ostflow.cli as cli
+    import ostflow.baselines
 
     def broken(inst):
         from ostflow import FlowSolution
 
         return FlowSolution(flows={(0, 3): 0.1}, cost=0.03, algorithm="mst")
 
-    monkeypatch.setattr(cli, "solve_mst_prune", broken)
+    # the solver registry looks the function up when it runs
+    monkeypatch.setattr(ostflow.baselines, "solve_mst_prune", broken)
     code, _, err = run(capsys, "solve", "--instance", w1_path, "--algorithm", "mst")
     assert code == 3 and "refusing to emit" in err
+
+
+def test_solve_bad_metaheuristic_knob_exits_1(capsys, w1_path):
+    code, out, err = run(capsys, "solve", "--instance", w1_path, "--algorithm", "ga",
+                         "--pop", 0)
+    assert code == 1 and out == ""
+    assert err == "ostflow: population, iterations and ant_count must be positive\n"
+
+
+def test_solve_oversized_state_space_exits_1(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(serialize_instance(oversized_instance()))
+    code, out, err = run(capsys, "solve", "--instance", path, "--algorithm", "ost")
+    assert code == 1 and out == ""
+    assert err.startswith("ostflow: state space too large: 41 nodes x 2^40 terminal subsets")
+    assert f"({41 * 2**40 * 13} bytes)" in err
 
 
 def test_unknown_flag_rejected(capsys, w1_path):
@@ -296,9 +315,84 @@ def test_bench_rerun_byte_identical(capsys, tmp_path, monkeypatch):
     assert outputs[0] == outputs[1]
 
 
+def test_bench_ost_cap_leaves_improvement_empty(capsys, tmp_path, monkeypatch, caplog):
+    monkeypatch.setenv("OST_THREADS", "1")
+    common = ("bench", "--sweep", "user-count", "--trials", 2, "--algorithms", "ost,spt",
+              "--nodes", 12, "--avg-degree", 3, "--terminals", 3, "--ost-cap", 3)
+    csv, summary = tmp_path / "r.csv", tmp_path / "s.csv"
+    code, _, _ = run(capsys, *common, "--values", "2,5", "--csv", csv, "--summary", summary)
+    assert code == 0
+    skips = [r.getMessage() for r in caplog.records if r.name == "ostflow"]
+    assert skips == [
+        f"skipping ost at value 5.0 seed {seed}: 5 terminals exceed cap 3" for seed in (0, 1)
+    ]
+    # value 2 ran ost: its lines are those of a sweep over value 2 alone
+    assert summary.read_text() == (
+        "sweep_value,algorithm,mean_cost,std_cost,improvement_pct\n"
+        "2,ost,0.698919209,0.0200609658,0\n"
+        "2,spt,0.824214703,0.105234528,15.2018028\n"
+        "5,spt,1.58319537,0.0779651468,\n"
+    )
+    alone = tmp_path / "r2.csv"
+    code, _, _ = run(capsys, *common, "--values", "2", "--csv", alone,
+                     "--summary", tmp_path / "s2.csv")
+    assert code == 0
+    rows = csv.read_text().splitlines()
+    assert [r for r in rows if ",5," not in r] == alone.read_text().splitlines()
+    assert [r.split(",")[3] for r in rows if ",5," in r] == ["spt", "spt"]
+
+
 def test_bench_invalid_sweep_exits_1(capsys, tmp_path):
     code, _, _ = run(
         capsys, "bench", "--sweep", "user-count", "--values", "2,1",
         "--csv", tmp_path / "r.csv", "--summary", tmp_path / "s.csv",
     )
     assert code == 1
+
+
+# Runs one CLI command in a fresh interpreter and reports the modules it loaded.
+_FOOTPRINT = """
+import json, sys
+from ostflow.cli import main
+code = main(sys.argv[2:])
+with open(sys.argv[1], "w") as f:
+    json.dump({"code": code, "modules": sorted(sys.modules)}, f)
+"""
+
+
+def _modules_loaded(tmp_path, *argv) -> set:
+    report = tmp_path / "modules.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, str(report), *map(str, argv)],
+        capture_output=True, cwd=tmp_path, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    doc = json.loads(report.read_text())
+    assert doc["code"] == 0
+    return set(doc["modules"])
+
+
+def test_validate_never_imports_numpy(tmp_path, w1_path, w1):
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(serialize_solution(solve_ost(w1)))
+    loaded = _modules_loaded(tmp_path, "validate", "--instance", w1_path,
+                             "--solution", sol_path, "--tree", "--flow-law")
+    assert "ostflow.validation" in loaded
+    assert "numpy" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv,runs",
+    [
+        (("gen", "--nodes", 10, "--avg-degree", 3, "--terminals", 2, "--output", "i.json"),
+         "ostflow.generator"),
+        (("solve", "--algorithm", "ost", "--output", "s.json"), "ostflow.solver"),
+    ],
+)
+def test_gen_and_solve_ost_import_only_what_they_run(tmp_path, w1_path, argv, runs):
+    if argv[0] == "solve":
+        argv += ("--instance", w1_path)
+    loaded = _modules_loaded(tmp_path, *argv)
+    assert runs in loaded
+    assert not loaded & {"ostflow.bench", "ostflow.baselines", "ostflow.oracle",
+                         "concurrent.futures"}

@@ -12,6 +12,7 @@ from ostflow import (
     Graph,
     InfeasibleInstanceError,
     Instance,
+    InstanceError,
     brute_force_optimum,
     check_flow_law,
     check_tree,
@@ -23,9 +24,10 @@ from ostflow import (
     serialize_solution,
     solve_ost,
 )
+import ostflow.solver
 from ostflow.solver import LEAF, MERGE, UNSET
 
-from helpers import W1_OPT_COST, W1_OPT_FLOWS, close, flows_close
+from helpers import W1_OPT_COST, W1_OPT_FLOWS, close, flows_close, oversized_instance
 
 D1 = 0b01  # terminal node 2 (demand 0.25), lower node id -> bit 0
 D2 = 0b10  # terminal node 3 (demand 1.0)
@@ -147,6 +149,25 @@ def test_solve_ost_infeasible_raises_with_report():
     with pytest.raises(InfeasibleInstanceError) as exc:
         solve_ost(inst)
     assert exc.value.report == ["terminal 3 unreachable from source"]
+
+
+def test_solve_ost_refuses_table_larger_than_memory():
+    # 41 nodes x 2^40 subsets x 13 bytes; refused before anything is allocated
+    need = 41 * 2**40 * 13
+    with pytest.raises(InstanceError) as exc:
+        solve_ost(oversized_instance())
+    message = str(exc.value)
+    assert message.startswith("state space too large: 41 nodes x 2^40 terminal subsets")
+    assert f"({need} bytes)" in message and "of physical memory" in message
+
+
+def test_table_memory_bound_is_inclusive(w1, monkeypatch):
+    # w1: 4 nodes x 2^2 subsets x 13 bytes = 208 bytes
+    monkeypatch.setattr(ostflow.solver, "_physical_memory", lambda: 207)
+    with pytest.raises(InstanceError, match=r"\(208 bytes\), more than the"):
+        solve_ost(w1)
+    monkeypatch.setattr(ostflow.solver, "_physical_memory", lambda: 208)
+    assert close(solve_ost(w1).cost, W1_OPT_COST)
 
 
 def test_reconstruct_boundary_state(w1):
