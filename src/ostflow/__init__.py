@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "baselines": (
         "MetaheuristicParams",
-        "decode_node_subset",
         "solve_aco",
         "solve_bco",
         "solve_ga",
@@ -43,15 +42,8 @@ _EXPORTS = {
     "oracle": ("OracleLimits", "brute_force_optimum"),
     "registry": ("SweepKind",),
     "serialize": ("parse_instance", "parse_solution", "serialize_instance", "serialize_solution"),
-    "solver": ("DpTable", "dp_grow", "dp_init", "dp_merge", "reconstruct", "solve_ost"),
-    "validation": (
-        "Code",
-        "Violation",
-        "check_constraints",
-        "check_flow_law",
-        "check_tree",
-        "total_cost",
-    ),
+    "solver": ("solve_ost",),
+    "validation": ("Code", "Violation", "check_constraints", "check_flow_law", "check_tree"),
 }
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

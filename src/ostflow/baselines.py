@@ -21,14 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    FlowSolution,
-    Graph,
-    InfeasibleInstanceError,
-    Instance,
-    make_solution,
-    validate_instance,
-)
+from .model import FlowSolution, Instance, flow_cost, make_solution, require_feasible
 
 
 @dataclass(frozen=True)
@@ -67,12 +60,6 @@ class MetaheuristicParams:
             raise ValueError("abandonment_limit must be positive")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must be a 64-bit unsigned integer")
-
-
-def _validated(inst: Instance) -> None:
-    report = validate_instance(inst)
-    if report:
-        raise InfeasibleInstanceError(report)
 
 
 def _kruskal(node_count: int, pairs, need: int) -> list[tuple[int, int]]:
@@ -130,11 +117,6 @@ def _tree_flows(
     return flows
 
 
-def _flow_cost(graph: Graph, flows: dict[tuple[int, int], float]) -> float:
-    """Sum of weight * flow in edge order."""
-    return sum(graph.weight(u, v) * f for (u, v), f in sorted(flows.items()))
-
-
 def solve_mst_prune(inst: Instance) -> FlowSolution:
     """Spanning-tree baseline: MST of the whole graph, pruned of unused
     leaves, every remaining edge carrying the overall maximum demand.
@@ -143,7 +125,7 @@ def solve_mst_prune(inst: Instance) -> FlowSolution:
     subtree, which is exactly what this baseline models.
     """
     started = time.perf_counter()
-    _validated(inst)
+    require_feasible(inst)
     n = inst.graph.node_count
     ordered = sorted((w, u, v) for u, v, w in inst.graph.edges)
     tree = _kruskal(n, ((u, v) for _, u, v in ordered), n - 1)
@@ -162,7 +144,7 @@ def _lexmin_shortest_paths(
     """Lexicographically smallest shortest path from the source to each
     target, as node sequences. Paths are prefix-consistent (each settled
     node has one final path reused by everything routed through it), so
-    their union is always a tree."""
+    their union is always a tree. Every target must be reachable."""
     adjacency = inst.graph.adjacency
     settled: dict[int, tuple[int, ...]] = {}
     heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (inst.source,))]
@@ -175,11 +157,6 @@ def _lexmin_shortest_paths(
         for u, w in adjacency[v]:
             if u not in settled:
                 heapq.heappush(heap, (d + w, path + (u,)))
-    missing = sorted(t for t in targets if t not in settled)
-    if missing:
-        raise InfeasibleInstanceError(
-            [f"terminal {t} unreachable from source" for t in missing]
-        )
     return {t: settled[t] for t in targets}
 
 
@@ -187,7 +164,7 @@ def solve_sp_union(inst: Instance) -> FlowSolution:
     """Shortest-path baseline: union the per-terminal shortest paths and
     deduplicate flows per edge at the maximum demand among its users."""
     started = time.perf_counter()
-    _validated(inst)
+    require_feasible(inst)
     paths = _lexmin_shortest_paths(inst, set(inst.terminals))
     flows: dict[tuple[int, int], float] = {}
     for t in sorted(inst.terminals):
@@ -254,7 +231,7 @@ class _SubsetDecoder:
         if len(tree) != count - 1:
             return (self.penalty, None)
         flows = _tree_flows(inst.graph.node_count, tree, inst.source, inst.terminals)
-        return (_flow_cost(inst.graph, flows), flows)
+        return (flow_cost(inst.graph, flows), flows)
 
 
 def decode_node_subset(
@@ -292,7 +269,7 @@ def solve_ga(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSoluti
     so the best-ever solution exists. Elitism keeps the incumbent alive.
     """
     started = time.perf_counter()
-    _validated(inst)
+    require_feasible(inst)
     p = p or MetaheuristicParams()
     decoder = _SubsetDecoder(inst)
     rng = np.random.Generator(np.random.PCG64(p.seed))
@@ -337,7 +314,7 @@ def solve_bco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
     once they exceed the abandonment limit (at most a scout_fraction of
     the population per iteration). The all-ones site is seeded."""
     started = time.perf_counter()
-    _validated(inst)
+    require_feasible(inst)
     p = p or MetaheuristicParams()
     decoder = _SubsetDecoder(inst)
     rng = np.random.Generator(np.random.PCG64(p.seed))
@@ -463,7 +440,7 @@ def solve_aco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
     then pruned of non-required leaves. The global best deposits
     pheromone each iteration after evaporation."""
     started = time.perf_counter()
-    _validated(inst)
+    require_feasible(inst)
     p = p or MetaheuristicParams()
     draws = _uniform_draws(np.random.Generator(np.random.PCG64(p.seed)))
     graph = inst.graph
@@ -500,7 +477,7 @@ def solve_aco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
             # a spanning tree of the walks' union has at most len(ids) edges
             tree = _kruskal(n, (ends[i] for i in ids), len(ids))
             flows = _tree_flows(n, tree, inst.source, inst.terminals)
-            cost = _flow_cost(graph, flows)
+            cost = flow_cost(graph, flows)
             if cost < best_cost:
                 best_cost = cost
                 best_flows = flows

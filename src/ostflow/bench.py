@@ -15,7 +15,8 @@ import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 
 from .baselines import MetaheuristicParams
 from .generator import GenConfig, generate_instance, generate_regular_instance
@@ -73,6 +74,10 @@ class SummaryRow:
     mean_cost: float
     std_cost: float
     improvement_pct: float | None  # None: ost did not run at this value
+
+
+# Canonical row order of both tables; a summary row has no seed.
+_ROW_ORDER = ("sweep_value", "seed", "algorithm")
 
 
 def _cell_instance(cfg: SweepConfig, value: float, seed: int) -> Instance:
@@ -151,7 +156,7 @@ def run_sweep(cfg: SweepConfig) -> list[ResultRow]:
     else:
         per_cell = [_run_cell(*job) for job in jobs]
     rows = [row for cell in per_cell for row in cell]
-    rows.sort(key=lambda r: (r.sweep_value, r.seed, r.algorithm))
+    rows.sort(key=attrgetter(*_ROW_ORDER))
     return rows
 
 
@@ -159,14 +164,11 @@ def summarize(table: list[ResultRow]) -> list[SummaryRow]:
     """Per (value, algorithm) means and the improvement of ost over each
     algorithm: 100 * (mean_alg - mean_ost) / mean_alg.
 
-    A value without ost rows (the terminal cap skipped it) gets None;
-    a table without any ost rows has nothing to compare against.
+    A value without ost rows (the terminal cap skipped it) gets None.
     """
     groups: dict[tuple[float, str], list[float]] = {}
     for row in table:
         groups.setdefault((row.sweep_value, row.algorithm), []).append(row.cost)
-    if not any(algorithm == "ost" for _, algorithm in groups):
-        raise ValueError("missing ost rows: no sweep value ran ost")
     summary = []
     for value, algorithm in sorted(groups):
         costs = groups[(value, algorithm)]
@@ -190,10 +192,6 @@ def summarize(table: list[ResultRow]) -> list[SummaryRow]:
     return summary
 
 
-_RESULT_HEADER = "sweep_kind,sweep_value,seed,algorithm,cost,runtime_ms,feasible"
-_SUMMARY_HEADER = "sweep_value,algorithm,mean_cost,std_cost,improvement_pct"
-
-
 def _fmt(x) -> str:
     if x is None:
         return ""
@@ -207,37 +205,12 @@ def _fmt(x) -> str:
 
 
 def emit_csv(table: list[ResultRow] | list[SummaryRow]) -> str:
-    """Canonical CSV text; an empty table emits the result header only."""
-    if table and isinstance(table[0], SummaryRow):
-        lines = [_SUMMARY_HEADER]
-        for row in sorted(table, key=lambda r: (r.sweep_value, r.algorithm)):
-            lines.append(
-                ",".join(
-                    _fmt(x)
-                    for x in (
-                        row.sweep_value,
-                        row.algorithm,
-                        row.mean_cost,
-                        row.std_cost,
-                        row.improvement_pct,
-                    )
-                )
-            )
-    else:
-        lines = [_RESULT_HEADER]
-        for row in sorted(table, key=lambda r: (r.sweep_value, r.seed, r.algorithm)):
-            lines.append(
-                ",".join(
-                    _fmt(x)
-                    for x in (
-                        row.sweep_kind,
-                        row.sweep_value,
-                        row.seed,
-                        row.algorithm,
-                        row.cost,
-                        row.runtime_ms,
-                        row.feasible,
-                    )
-                )
-            )
+    """Canonical CSV text: the row dataclass's fields as columns, rows in
+    (sweep_value, seed, algorithm) order; an empty table emits the result
+    header only."""
+    columns = [f.name for f in fields(table[0] if table else ResultRow)]
+    key = attrgetter(*(c for c in _ROW_ORDER if c in columns))
+    lines = [",".join(columns)]
+    for row in sorted(table, key=key):
+        lines.append(",".join(_fmt(getattr(row, c)) for c in columns))
     return "\n".join(lines) + "\n"

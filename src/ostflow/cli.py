@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .model import InfeasibleInstanceError, InstanceError, validate_instance
+from .model import InfeasibleInstanceError, InstanceError, require_feasible
 from .registry import SOLVERS, SWEEP_ALGORITHMS, SweepKind
 from .serialize import (
     parse_instance,
@@ -32,6 +32,24 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE_INSTANCE = 2
 EXIT_INFEASIBLE_SOLUTION = 3
 
+# Metaheuristic flags by the MetaheuristicParams field each one sets:
+# (type, flag, aliases...). A flag not given stays off the namespace, so
+# the dataclass's default applies and parsing never imports it (or numpy).
+_METAHEURISTIC_FLAGS = {
+    "population": (int, "--pop", "--ga-pop"),
+    "iterations": (int, "--iters"),
+    "seed": (int, "--seed"),
+    "crossover_rate": (float, "--ga-crossover"),
+    "mutation_rate": (float, "--ga-mutation"),
+    "tournament_size": (int, "--ga-tournament"),
+    "ant_count": (int, "--aco-ants"),
+    "evaporation": (float, "--aco-evaporation"),
+    "pheromone_weight": (float, "--aco-alpha"),
+    "heuristic_weight": (float, "--aco-beta"),
+    "scout_fraction": (float, "--bco-scouts"),
+    "abandonment_limit": (int, "--bco-abandonment"),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; the CLI contract says 1.
@@ -40,19 +58,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _read_text(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise OSError(f"cannot read {what}: {exc}") from exc
 
 
 def _write_output(text: str, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+    try:
+        if path is None or path == "-":
+            sys.stdout.write(text)
+        else:
+            Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise OSError(f"cannot write output: {exc}") from exc
 
 
-def _parse_demand_set(spec: str) -> tuple[tuple[float, float], ...]:
-    """Parse 'value:prob,value:prob,...'; probs accept fractions like 1/3."""
+def _gen_config(args, seed: int):
+    """GenConfig from --nodes, --avg-degree, --terminals and --demands
+    ('value:prob,value:prob,...'; probs accept fractions like 1/3)."""
+    from .generator import DEFAULT_DEMAND_SET, GenConfig
 
     def number(token: str) -> float:
         token = token.strip()
@@ -61,51 +87,39 @@ def _parse_demand_set(spec: str) -> tuple[tuple[float, float], ...]:
             return float(num) / float(den)
         return float(token)
 
-    pairs = []
-    for chunk in spec.split(","):
-        if ":" not in chunk:
-            raise InstanceError(f"demand entry {chunk!r} is not value:probability")
-        value, prob = chunk.split(":", 1)
-        pairs.append((number(value), number(prob)))
-    return tuple(pairs)
+    demand_set = DEFAULT_DEMAND_SET
+    if args.demands:
+        pairs = []
+        for chunk in args.demands.split(","):
+            if ":" not in chunk:
+                raise InstanceError(f"demand entry {chunk!r} is not value:probability")
+            value, prob = chunk.split(":", 1)
+            pairs.append((number(value), number(prob)))
+        demand_set = tuple(pairs)
+    return GenConfig(
+        node_count=args.nodes,
+        avg_degree=args.avg_degree,
+        terminal_count=args.terminals,
+        demand_set=demand_set,
+        seed=seed,
+    )
 
 
 def _metaheuristic_params(args):
     from .baselines import MetaheuristicParams
 
-    return MetaheuristicParams(
-        population=args.pop,
-        iterations=args.iters,
-        seed=args.seed,
-        crossover_rate=args.ga_crossover,
-        mutation_rate=args.ga_mutation,
-        tournament_size=args.ga_tournament,
-        ant_count=args.aco_ants,
-        evaporation=args.aco_evaporation,
-        pheromone_weight=args.aco_alpha,
-        heuristic_weight=args.aco_beta,
-        scout_fraction=args.bco_scouts,
-        abandonment_limit=args.bco_abandonment,
-    )
+    given = vars(args)
+    return MetaheuristicParams(**{f: given[f] for f in _METAHEURISTIC_FLAGS if f in given})
 
 
 def _add_metaheuristic_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("metaheuristic parameters")
-    group.add_argument("--pop", "--ga-pop", dest="pop", type=int, default=50,
-                       help="population size for ga/bco (default 50)")
-    group.add_argument("--iters", type=int, default=100,
-                       help="iterations for ga/aco/bco (default 100)")
-    group.add_argument("--seed", type=int, default=0,
-                       help="metaheuristic RNG seed (default 0)")
-    group.add_argument("--ga-crossover", type=float, default=0.8)
-    group.add_argument("--ga-mutation", type=float, default=0.02)
-    group.add_argument("--ga-tournament", type=int, default=3)
-    group.add_argument("--aco-ants", type=int, default=20)
-    group.add_argument("--aco-evaporation", type=float, default=0.1)
-    group.add_argument("--aco-alpha", type=float, default=1.0)
-    group.add_argument("--aco-beta", type=float, default=2.0)
-    group.add_argument("--bco-scouts", type=float, default=0.1)
-    group.add_argument("--bco-abandonment", type=int, default=10)
+    group = parser.add_argument_group(
+        "metaheuristic parameters",
+        "read by ga, aco and bco; a flag not given keeps its MetaheuristicParams default",
+    )
+    for field, (kind, *flags) in _METAHEURISTIC_FLAGS.items():
+        group.add_argument(*flags, dest=field, type=kind, default=argparse.SUPPRESS,
+                           help=f"MetaheuristicParams.{field}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    solve = sub.add_parser("solve", parents=[], help="solve an instance file")
+    solve = sub.add_parser("solve", help="solve an instance file")
     solve.add_argument("--instance", required=True, help="instance document path")
     solve.add_argument("--algorithm", required=True,
                        choices=list(SOLVERS))
@@ -163,31 +177,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_solve(args) -> int:
-    try:
-        text = _read_text(args.instance)
-    except OSError as exc:
-        print(f"ostflow: cannot read instance: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        inst = parse_instance(text)
-    except InstanceError as exc:
-        print(f"ostflow: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    report = validate_instance(inst)
-    if report:
-        for line in report:
-            print(f"ostflow: infeasible instance: {line}", file=sys.stderr)
-        return EXIT_INFEASIBLE_INSTANCE
+    inst = parse_instance(_read_text(args.instance, "instance"))
+    # instance errors are reported before knob errors
+    require_feasible(inst)
     solver = SOLVERS[args.algorithm]
-    try:
-        params = _metaheuristic_params(args) if solver.tuned else None
-        solution = solver(inst, params)
-    except InfeasibleInstanceError as exc:
-        print(f"ostflow: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE_INSTANCE
-    except ValueError as exc:
-        print(f"ostflow: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    solution = solver(inst, _metaheuristic_params(args) if solver.tuned else None)
     violations = check_constraints(inst, solution)
     if violations:
         for v in violations:
@@ -196,47 +190,21 @@ def cmd_solve(args) -> int:
         return EXIT_INFEASIBLE_SOLUTION
     if not args.timing:
         solution = replace(solution, runtime_ms=0.0)
-    try:
-        _write_output(serialize_solution(solution), args.output)
-    except OSError as exc:
-        print(f"ostflow: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    _write_output(serialize_solution(solution), args.output)
     return EXIT_OK
 
 
 def cmd_gen(args) -> int:
-    from .generator import DEFAULT_DEMAND_SET, GenConfig, generate_instance
+    from .generator import generate_instance
 
-    try:
-        demand_set = (
-            _parse_demand_set(args.demands) if args.demands else DEFAULT_DEMAND_SET
-        )
-        cfg = GenConfig(
-            node_count=args.nodes,
-            avg_degree=args.avg_degree,
-            terminal_count=args.terminals,
-            demand_set=demand_set,
-            seed=args.seed,
-        )
-        inst = generate_instance(cfg)
-    except (InstanceError, ValueError) as exc:
-        print(f"ostflow: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        _write_output(serialize_instance(inst), args.output)
-    except OSError as exc:
-        print(f"ostflow: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    inst = generate_instance(_gen_config(args, args.seed))
+    _write_output(serialize_instance(inst), args.output)
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    try:
-        inst = parse_instance(_read_text(args.instance))
-        solution = parse_solution(_read_text(args.solution))
-    except (OSError, InstanceError) as exc:
-        print(f"ostflow: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    inst = parse_instance(_read_text(args.instance, "instance"))
+    solution = parse_solution(_read_text(args.solution, "solution"))
     violations = check_constraints(inst, solution) + check_cost(inst, solution)
     if args.tree or args.flow_law:
         tree_violations = check_tree(inst, solution)
@@ -250,58 +218,43 @@ def cmd_validate(args) -> int:
 
 def cmd_bench(args) -> int:
     from .bench import SweepConfig, emit_csv, run_sweep, summarize
-    from .generator import DEFAULT_DEMAND_SET, GenConfig
 
-    try:
-        values = tuple(float(v) for v in args.values.split(","))
-        demand_set = (
-            _parse_demand_set(args.demands) if args.demands else DEFAULT_DEMAND_SET
-        )
-        base = GenConfig(
-            node_count=args.nodes,
-            avg_degree=args.avg_degree,
-            terminal_count=args.terminals,
-            demand_set=demand_set,
-            seed=0,
-        )
-        cfg = SweepConfig(
-            sweep_kind=SweepKind(args.sweep),
-            values=values,
-            trials=args.trials,
-            base=base,
-            algorithms=tuple(a.strip() for a in args.algorithms.split(",")),
-            params=_metaheuristic_params(args),
-            ost_terminal_cap=args.ost_cap,
-            measure_runtime=args.timing,
-        )
-    except (InstanceError, ValueError) as exc:
-        print(f"ostflow: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        table = run_sweep(cfg)
-        summary = summarize(table)
-    except (InstanceError, ValueError) as exc:
-        print(f"ostflow: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        Path(args.csv).write_text(emit_csv(table), encoding="utf-8")
-        Path(args.summary).write_text(emit_csv(summary), encoding="utf-8")
-    except OSError as exc:
-        print(f"ostflow: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = SweepConfig(
+        sweep_kind=SweepKind(args.sweep),
+        values=tuple(float(v) for v in args.values.split(",")),
+        trials=args.trials,
+        base=_gen_config(args, 0),
+        algorithms=tuple(a.strip() for a in args.algorithms.split(",")),
+        params=_metaheuristic_params(args),
+        ost_terminal_cap=args.ost_cap,
+        measure_runtime=args.timing,
+    )
+    table = run_sweep(cfg)
+    _write_output(emit_csv(table), args.csv)
+    _write_output(emit_csv(summarize(table)), args.summary)
     return EXIT_OK
 
 
+_COMMANDS = {"solve": cmd_solve, "gen": cmd_gen, "validate": cmd_validate, "bench": cmd_bench}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "solve": cmd_solve,
-        "gen": cmd_gen,
-        "validate": cmd_validate,
-        "bench": cmd_bench,
-    }
-    return handlers[args.subcommand](args)
+    """Run one subcommand; its errors become exit statuses here.
+
+    An infeasible instance exits 2 with one line per report entry; any
+    other ValueError (InstanceError among them) or a failed read or write
+    exits 1 with its message.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        return _COMMANDS[args.subcommand](args)
+    except InfeasibleInstanceError as exc:
+        for line in exc.report:
+            print(f"ostflow: infeasible instance: {line}", file=sys.stderr)
+        return EXIT_INFEASIBLE_INSTANCE
+    except (ValueError, OSError) as exc:
+        print(f"ostflow: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

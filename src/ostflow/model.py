@@ -175,6 +175,13 @@ def validate_instance(inst: Instance) -> list[str]:
     return problems
 
 
+def require_feasible(inst: Instance) -> None:
+    """Raise InfeasibleInstanceError carrying :func:`validate_instance`'s report."""
+    report = validate_instance(inst)
+    if report:
+        raise InfeasibleInstanceError(report)
+
+
 @dataclass(frozen=True)
 class FlowSolution:
     """Directed edge flows with their total weighted cost.
@@ -193,6 +200,20 @@ class FlowSolution:
         return [(u, v, f) for (u, v), f in sorted(self.flows.items())]
 
 
+def flow_cost(graph: Graph, flows: dict[tuple[int, int], float]) -> float:
+    """The objective: sum of weight * flow, added in sorted edge order.
+
+    Raises ValueError on a flow over an edge absent from the graph.
+    """
+    cost = 0.0
+    for (u, v), f in sorted(flows.items()):
+        try:
+            cost += graph.weight(u, v) * f
+        except KeyError:
+            raise ValueError(f"flow on edge ({u}, {v}) absent from graph") from None
+    return cost
+
+
 def make_solution(
     inst: Instance,
     flows: dict[tuple[int, int], float],
@@ -205,14 +226,11 @@ def make_solution(
     construction bugs and raise.
     """
     kept: dict[tuple[int, int], float] = {}
-    cost = 0.0
     for (u, v), f in sorted(flows.items()):
         if f < 0:
             raise ValueError(f"negative flow {f} on edge ({u}, {v})")
-        if f == 0:
-            continue
-        if not inst.graph.has_edge(u, v):
-            raise ValueError(f"flow on edge ({u}, {v}) absent from graph")
-        kept[(u, v)] = f
-        cost += inst.graph.weight(u, v) * f
-    return FlowSolution(flows=kept, cost=cost, algorithm=algorithm, runtime_ms=runtime_ms)
+        if f != 0:
+            kept[(u, v)] = f
+    return FlowSolution(
+        flows=kept, cost=flow_cost(inst.graph, kept), algorithm=algorithm, runtime_ms=runtime_ms
+    )

@@ -44,9 +44,7 @@ def parse_instance(text: str) -> Instance:
     """Parse an instance document; raises InstanceError on any defect."""
     doc = _load_object(text, "instance")
     _reject_unknown(doc, _INSTANCE_KEYS, "instance document")
-    nodes = doc["nodes"]
-    if not isinstance(nodes, int) or isinstance(nodes, bool):
-        raise InstanceError(f"nodes: expected integer, got {nodes!r}")
+    nodes = _integer(doc["nodes"], "nodes")
     edges_raw = doc["edges"]
     if not isinstance(edges_raw, list):
         raise InstanceError("edges: expected an array of [u, v, weight] triples")
@@ -55,14 +53,10 @@ def parse_instance(text: str) -> Instance:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise InstanceError(f"edges[{i}]: expected [u, v, weight] triple, got {entry!r}")
         u, v, w = entry
-        if not isinstance(u, int) or not isinstance(v, int):
-            raise InstanceError(f"edges[{i}]: node ids must be integers")
         if not isinstance(w, (int, float)) or isinstance(w, bool):
             raise InstanceError(f"edges[{i}]: weight must be a number")
-        edges.append((u, v, float(w)))
-    source = doc["source"]
-    if not isinstance(source, int) or isinstance(source, bool):
-        raise InstanceError(f"source: expected integer, got {source!r}")
+        edges.append((_integer(u, f"edges[{i}][0]"), _integer(v, f"edges[{i}][1]"), float(w)))
+    source = _integer(doc["source"], "source")
     terminals_raw = doc["terminals"]
     if not isinstance(terminals_raw, list):
         raise InstanceError("terminals: expected an array of {node, demand} objects")
@@ -71,9 +65,7 @@ def parse_instance(text: str) -> Instance:
         if not isinstance(entry, dict):
             raise InstanceError(f"terminals[{i}]: expected an object")
         _reject_unknown(entry, _TERMINAL_KEYS, f"terminals[{i}]")
-        node, demand = entry["node"], entry["demand"]
-        if not isinstance(node, int) or isinstance(node, bool):
-            raise InstanceError(f"terminals[{i}].node: expected integer")
+        node, demand = _integer(entry["node"], f"terminals[{i}].node"), entry["demand"]
         if not isinstance(demand, (int, float)) or isinstance(demand, bool):
             raise InstanceError(f"terminals[{i}].demand: expected number")
         if node in terminals:
@@ -111,6 +103,14 @@ def serialize_instance(inst: Instance) -> str:
     )
 
 
+def _integer(value: Any, where: str) -> int:
+    """``value`` as a node id or count; JSON ``true`` and ``false`` are not
+    integers here, although Python's bool is an int."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InstanceError(f"{where}: expected integer, got {value!r}")
+    return value
+
+
 def _finite(value: Any, where: str) -> float:
     """``value`` as a float; json.loads accepts NaN, Infinity and integers
     too large for a float, none of which a cost or a flow can be."""
@@ -141,10 +141,9 @@ def parse_solution(text: str) -> FlowSolution:
         if not isinstance(entry, dict):
             raise InstanceError(f"flows[{i}]: expected an object")
         _reject_unknown(entry, _FLOW_KEYS, f"flows[{i}]")
-        u, v, f = entry["from"], entry["to"], entry["flow"]
-        if not isinstance(u, int) or not isinstance(v, int):
-            raise InstanceError(f"flows[{i}]: node ids must be integers")
-        f = _finite(f, f"flows[{i}].flow")
+        u = _integer(entry["from"], f"flows[{i}].from")
+        v = _integer(entry["to"], f"flows[{i}].to")
+        f = _finite(entry["flow"], f"flows[{i}].flow")
         if (u, v) in flows:
             raise InstanceError(f"flows[{i}]: duplicate flow edge ({u}, {v})")
         flows[(u, v)] = f

@@ -35,14 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (
-    FlowSolution,
-    InfeasibleInstanceError,
-    Instance,
-    InstanceError,
-    make_solution,
-    validate_instance,
-)
+from .model import FlowSolution, Instance, InstanceError, make_solution, require_feasible
 
 # Decision codes: how cost[v, S] was last improved.
 UNSET, LEAF, MERGE, EXTEND = 0, 1, 2, 3
@@ -68,9 +61,6 @@ class DpTable:
     cost: np.ndarray    # (M, 2^K) float64, +inf where unreached
     kind: np.ndarray    # (M, 2^K) int8
     arg: np.ndarray     # (M, 2^K) int32
-
-    def bit_of(self, terminal: int) -> int:
-        return 1 << self.terminal_index[terminal]
 
     @property
     def full_mask(self) -> int:
@@ -119,8 +109,8 @@ def dp_init(inst: Instance) -> DpTable:
     )
 
 
-def _state_flows(table: DpTable, roots: list[tuple[int, int]]) -> dict[tuple[int, int], float]:
-    """Union the flow networks of the given (node, subset) states.
+def _state_flows(table: DpTable, node: int, subset: int) -> dict[tuple[int, int], float]:
+    """The flow network of state (node, subset).
 
     Follows decision records; edges shared between branches keep the
     maximum of their flows. All referenced states must be reachable.
@@ -129,7 +119,7 @@ def _state_flows(table: DpTable, roots: list[tuple[int, int]]) -> dict[tuple[int
     arg = table.arg
     xmax = table.xmax
     flows: dict[tuple[int, int], float] = {}
-    stack = list(roots)
+    stack = [(node, subset)]
     while stack:
         node, mask = stack.pop()
         k = kind[node, mask]
@@ -215,7 +205,7 @@ def reconstruct(table: DpTable, inst: Instance, v: int, subset: int) -> FlowSolu
     """Flow network behind cost[v, subset]; error if the state is unreached."""
     if not math.isfinite(table.cost[v, subset]):
         raise ValueError(f"unreachable state (node {v}, subset {subset:#x})")
-    flows = _state_flows(table, [(v, subset)])
+    flows = _state_flows(table, v, subset)
     return make_solution(inst, flows, algorithm="ost")
 
 
@@ -226,9 +216,7 @@ def solve_ost(inst: Instance) -> FlowSolution:
     some terminal is unreachable.
     """
     started = time.perf_counter()
-    report = validate_instance(inst)
-    if report:
-        raise InfeasibleInstanceError(report)
+    require_feasible(inst)
     table = dp_init(inst)
     k = len(table.terminal_index)
     masks = sorted(range(1, 1 << k), key=lambda s: (s.bit_count(), s))

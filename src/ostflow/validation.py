@@ -18,10 +18,9 @@ cost is stated rather than computed:
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 
-from .model import FlowSolution, Instance
+from .model import FlowSolution, Instance, flow_cost
 
 TOL = 1e-9
 
@@ -52,22 +51,12 @@ class Violation:
         return f"{self.code} {self.location} {self.detail}"
 
 
-def total_cost(inst: Instance, sol: FlowSolution) -> float:
-    """Objective value sum(weight * flow); raises on flow over a non-edge."""
-    cost = 0.0
-    for (u, v), f in sorted(sol.flows.items()):
-        if not inst.graph.has_edge(u, v):
-            raise ValueError(f"flow on edge ({u}, {v}) absent from graph")
-        cost += inst.graph.weight(u, v) * f
-    return cost
-
-
 def check_cost(inst: Instance, sol: FlowSolution) -> list[Violation]:
     """The stated cost must equal sum(weight * flow) within
     TOL * max(1, |cost|). Flows on non-edges have no cost to compare;
     ``check_constraints`` reports them."""
     try:
-        actual = total_cost(inst, sol)
+        actual = flow_cost(inst.graph, sol.flows)
     except ValueError:
         return []
     if abs(sol.cost - actual) > TOL * max(1.0, abs(sol.cost)):
@@ -135,9 +124,10 @@ def check_constraints(inst: Instance, sol: FlowSolution) -> list[Violation]:
 def _support_tree(inst: Instance, sol: FlowSolution):
     """Rooted-tree view of the flow support, or a NOT_TREE violation.
 
-    Returns (parent, children, order) with parent/children from a BFS
-    rooted at the source, or (None, None, violation) when the support is
-    not a tree containing source and terminals.
+    Returns (parent, order, None), with ``parent`` (-1 at the source) and
+    the BFS ``order`` of a search rooted at the source, or
+    (None, None, violation) when the support is not a tree containing
+    source and terminals.
     """
     nodes = set()
     undirected = set()
@@ -165,14 +155,11 @@ def _support_tree(inst: Instance, sol: FlowSolution):
         neighbors[b].append(a)
     parent: dict[int, int] = {inst.source: -1}
     order = [inst.source]
-    queue = deque([inst.source])
-    while queue:
-        u = queue.popleft()
+    for u in order:
         for v in neighbors[u]:
             if v not in parent:
                 parent[v] = u
                 order.append(v)
-                queue.append(v)
     if len(parent) != len(nodes):
         stranded = min(n for n in nodes if n not in parent)
         return None, None, Violation(
@@ -180,30 +167,32 @@ def _support_tree(inst: Instance, sol: FlowSolution):
         )
     if len(undirected) != len(nodes) - 1:
         return None, None, Violation(Code.NOT_TREE, "support", "support contains a cycle")
-    children: dict[int, list[int]] = {n: [] for n in nodes}
-    for v, p in parent.items():
-        if p != -1:
-            children[p].append(v)
-    return parent, children, None
+    return parent, order, None
 
 
-def check_tree(inst: Instance, sol: FlowSolution) -> list[Violation]:
-    """Rooted-tree shape of minimal solutions (support, orientation, leaves)."""
-    parent, children, problem = _support_tree(inst, sol)
-    if problem is not None:
-        return [problem]
+def _shape_violations(inst: Instance, sol: FlowSolution, parent: dict[int, int]) -> list[Violation]:
+    """Orientation and leaf violations of a support tree."""
     violations = []
     for u, v in sorted(sol.flows):
         if parent[v] != u:
             violations.append(
                 Violation(Code.BAD_ORIENTATION, f"({u},{v})", "flow points toward the source")
             )
-    for node in sorted(children):
-        if not children[node] and node != inst.source and node not in inst.terminals:
+    inner = set(parent.values())
+    for node in sorted(parent):
+        if node not in inner and node != inst.source and node not in inst.terminals:
             violations.append(
                 Violation(Code.LEAF_NOT_TERMINAL, f"node {node}", "leaf is not a terminal")
             )
     return violations
+
+
+def check_tree(inst: Instance, sol: FlowSolution) -> list[Violation]:
+    """Rooted-tree shape of minimal solutions (support, orientation, leaves)."""
+    parent, _, problem = _support_tree(inst, sol)
+    if problem is not None:
+        return [problem]
+    return _shape_violations(inst, sol, parent)
 
 
 def check_flow_law(inst: Instance, sol: FlowSolution) -> list[Violation]:
@@ -211,23 +200,13 @@ def check_flow_law(inst: Instance, sol: FlowSolution) -> list[Violation]:
 
     Precondition: ``check_tree`` passes; raises ValueError otherwise.
     """
-    if check_tree(inst, sol):
+    parent, order, problem = _support_tree(inst, sol)
+    if problem is not None or _shape_violations(inst, sol, parent):
         raise ValueError("not a tree")
-    parent, children, _ = _support_tree(inst, sol)
-    # Bottom-up max demand per subtree, in reverse BFS order.
-    order = [inst.source]
-    queue = deque([inst.source])
-    while queue:
-        u = queue.popleft()
-        for v in children[u]:
-            order.append(v)
-            queue.append(v)
-    submax: dict[int, float] = {}
-    for node in reversed(order):
-        best = inst.terminals.get(node, 0.0)
-        for child in children[node]:
-            best = max(best, submax[child])
-        submax[node] = best
+    # Max demand per subtree, children before parents (reverse BFS order).
+    submax = {node: inst.terminals.get(node, 0.0) for node in order}
+    for node in reversed(order[1:]):
+        submax[parent[node]] = max(submax[parent[node]], submax[node])
     violations = []
     for (u, v), f in sorted(sol.flows.items()):
         required = submax[v]

@@ -9,7 +9,6 @@ from ostflow import (
     Instance,
     MetaheuristicParams,
     check_constraints,
-    decode_node_subset,
     generate_instance,
     solve_aco,
     solve_bco,
@@ -18,6 +17,7 @@ from ostflow import (
     solve_ost,
     solve_sp_union,
 )
+from ostflow.baselines import decode_node_subset
 
 from helpers import (
     BASELINES,

@@ -210,9 +210,14 @@ def test_summarize_equal_costs_zero_improvement():
         assert s.improvement_pct == 0.0
 
 
-def test_summarize_requires_ost():
-    with pytest.raises(ValueError, match="missing ost"):
-        summarize([_row(10, 0, "mst", 0.5)])
+def test_summarize_without_ost_leaves_improvement_empty():
+    # a sweep whose every value exceeded --ost-cap still gets its means
+    table = [_row(10, 0, "mst", 0.5), _row(10, 1, "mst", 1.5), _row(20, 0, "spt", 2.0)]
+    summary = summarize(table)
+    assert [(s.sweep_value, s.algorithm, s.mean_cost) for s in summary] == [
+        (10, "mst", 1.0), (20, "spt", 2.0)
+    ]
+    assert all(s.improvement_pct is None for s in summary)
 
 
 def test_emit_csv_empty_table_is_header_only():

@@ -1,12 +1,14 @@
+import hashlib
 import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from ostflow import serialize_instance, serialize_solution, solve_ost
-from ostflow.cli import main
+from ostflow import MetaheuristicParams, serialize_instance, serialize_solution, solve_ost
+from ostflow.cli import _metaheuristic_params, build_parser, main
 
 from helpers import child_env, close, oversized_instance
 
@@ -340,6 +342,59 @@ def test_bench_ost_cap_leaves_improvement_empty(capsys, tmp_path, monkeypatch, c
     rows = csv.read_text().splitlines()
     assert [r for r in rows if ",5," not in r] == alone.read_text().splitlines()
     assert [r.split(",")[3] for r in rows if ",5," in r] == ["spt", "spt"]
+
+
+def test_bench_fully_capped_sweep_writes_both_csvs(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("OST_THREADS", "1")
+    csv, summary = tmp_path / "r.csv", tmp_path / "s.csv"
+    code, _, _ = run(
+        capsys, "bench", "--sweep", "user-count", "--values", "5", "--trials", 2,
+        "--algorithms", "ost,spt", "--nodes", 12, "--avg-degree", 3, "--terminals", 3,
+        "--ost-cap", 3, "--csv", csv, "--summary", summary,
+    )
+    assert code == 0
+    assert [r.split(",")[3] for r in csv.read_text().splitlines()[1:]] == ["spt", "spt"]
+    assert summary.read_text() == (
+        "sweep_value,algorithm,mean_cost,std_cost,improvement_pct\n"
+        "5,spt,1.58319537,0.0779651468,\n"
+    )
+
+
+# SHA-256 of both CSVs of one sweep, recorded before emit_csv took its
+# columns from the row dataclasses: value 4 exceeds --ost-cap, so the
+# summary has empty improvement_pct cells as well as numbers.
+_GOLDEN_BENCH_ARGS = (
+    "bench", "--sweep", "user-count", "--values", "2,4", "--trials", 2,
+    "--algorithms", "ost,mst,spt,ga,aco,bco", "--nodes", 12, "--avg-degree", 3,
+    "--terminals", 3, "--ost-cap", 3, "--iters", 5, "--pop", 8,
+)
+_GOLDEN_RESULTS_SHA256 = "ac3584056c85bdcab28f2a453f034dafb42737cae69c504bed2361cafb34c5b3"
+_GOLDEN_SUMMARY_SHA256 = "c5c65001bc9d8dd4918d9fc359dcc07357db65cee05ec8af581d8f627cba3826"
+
+
+def test_bench_csvs_match_golden_hashes(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("OST_THREADS", "1")
+    csv, summary = tmp_path / "r.csv", tmp_path / "s.csv"
+    code, _, _ = run(capsys, *_GOLDEN_BENCH_ARGS, "--csv", csv, "--summary", summary)
+    assert code == 0
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == _GOLDEN_RESULTS_SHA256
+    assert hashlib.sha256(summary.read_bytes()).hexdigest() == _GOLDEN_SUMMARY_SHA256
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_metaheuristic_knobs_default_to_the_dataclass(command):
+    required = {
+        "solve": ["--instance", "i.json", "--algorithm", "ga"],
+        "bench": ["--sweep", "user-count", "--values", "1"],
+    }[command]
+    parser = build_parser()
+    args = parser.parse_args([command, *required])
+    assert _metaheuristic_params(args) == MetaheuristicParams()
+    args = parser.parse_args([command, *required, "--ga-pop", "7", "--aco-beta", "3",
+                              "--bco-abandonment", "4"])
+    assert _metaheuristic_params(args) == replace(
+        MetaheuristicParams(), population=7, heuristic_weight=3.0, abandonment_limit=4
+    )
 
 
 def test_bench_invalid_sweep_exits_1(capsys, tmp_path):

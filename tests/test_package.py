@@ -43,6 +43,17 @@ def test_dir_covers_public_names():
     assert set(ostflow.__all__) <= set(dir(ostflow))
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["DpTable", "dp_grow", "dp_init", "dp_merge", "reconstruct", "decode_node_subset",
+     "total_cost"],
+)
+def test_root_does_not_export_module_internals(name):
+    assert name not in ostflow.__all__
+    with pytest.raises(AttributeError):
+        getattr(ostflow, name)
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="'ostflow' has no attribute 'no_such_name'"):
         ostflow.no_such_name

@@ -66,6 +66,21 @@ def test_parse_rejects_non_integer_ids():
         parse_instance(doc)
 
 
+@pytest.mark.parametrize(
+    "old,new,where",
+    [
+        ("[0, 1, 0.5]", "[false, 1, 0.5]", r"edges\[0\]\[0\]"),
+        ("[0, 1, 0.5]", "[0, true, 0.5]", r"edges\[0\]\[1\]"),
+        ('"node": 1', '"node": true', r"terminals\[0\]\.node"),
+        ('"source": 0', '"source": false', "source"),
+        ('"nodes": 2', '"nodes": true', "nodes"),
+    ],
+)
+def test_parse_rejects_boolean_ids(old, new, where):
+    with pytest.raises(InstanceError, match=f"^{where}: expected integer, got (True|False)$"):
+        parse_instance(SMALLEST.replace(old, new))
+
+
 def test_parse_rejects_duplicate_terminal():
     doc = SMALLEST.replace(
         '[{"node": 1, "demand": 1.0}]',
@@ -147,4 +162,17 @@ _SOLUTION = '{"algorithm": "x", "cost": 0.5, "flows": [{"from": 0, "to": 1, "flo
 def test_parse_solution_rejects_non_finite_numbers(old, new, message):
     assert parse_solution(_SOLUTION).cost == 0.5
     with pytest.raises(InstanceError, match=message):
+        parse_solution(_SOLUTION.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "old,new,where",
+    [
+        ('"from": 0', '"from": false', "from"),
+        ('"to": 1', '"to": true', "to"),
+        ('"from": 0', '"from": 0.0', "from"),
+    ],
+)
+def test_parse_solution_rejects_non_integer_ids(old, new, where):
+    with pytest.raises(InstanceError, match=rf"^flows\[0\]\.{where}: expected integer, got "):
         parse_solution(_SOLUTION.replace(old, new))

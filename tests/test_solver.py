@@ -16,16 +16,12 @@ from ostflow import (
     brute_force_optimum,
     check_flow_law,
     check_tree,
-    dp_grow,
-    dp_init,
-    dp_merge,
     generate_instance,
-    reconstruct,
     serialize_solution,
     solve_ost,
 )
 import ostflow.solver
-from ostflow.solver import LEAF, MERGE, UNSET
+from ostflow.solver import LEAF, MERGE, UNSET, dp_grow, dp_init, dp_merge, reconstruct
 
 from helpers import W1_OPT_COST, W1_OPT_FLOWS, close, flows_close, oversized_instance
 

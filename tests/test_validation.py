@@ -8,8 +8,8 @@ from ostflow import (
     check_constraints,
     check_flow_law,
     check_tree,
-    total_cost,
 )
+from ostflow.model import flow_cost
 from ostflow.validation import check_cost
 
 from helpers import W1_OPT_FLOWS, close
@@ -24,16 +24,15 @@ def codes(violations):
 
 
 def test_total_cost_empty_flow_map(w1):
-    assert total_cost(w1, _sol({})) == 0.0
+    assert flow_cost(w1.graph, {}) == 0.0
 
 
 def test_total_cost_w1_optimum(w1):
-    assert close(total_cost(w1, _sol(W1_OPT_FLOWS)), 0.35)
+    assert close(flow_cost(w1.graph, W1_OPT_FLOWS), 0.35)
 
 
 def test_total_cost_single_edge():
-    inst = Instance(graph=Graph(2, ((0, 1, 0.5),)), source=0, terminals={1: 0.5})
-    assert close(total_cost(inst, _sol({(0, 1): 0.5})), 0.25)
+    assert close(flow_cost(Graph(2, ((0, 1, 0.5),)), {(0, 1): 0.5}), 0.25)
 
 
 @pytest.mark.parametrize(
@@ -66,8 +65,8 @@ def test_check_cost_leaves_nonedge_flows_to_constraints(w1):
 
 
 def test_total_cost_rejects_nonedge(w1):
-    with pytest.raises(ValueError, match="absent"):
-        total_cost(w1, _sol({(0, 2): 1.0}))
+    with pytest.raises(ValueError, match=r"flow on edge \(0, 2\) absent from graph"):
+        flow_cost(w1.graph, {(0, 2): 1.0})
 
 
 def test_constraints_w1_optimum_clean(w1):
