@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .model import InfeasibleInstanceError, InstanceError, require_feasible
-from .registry import SOLVERS, SWEEP_ALGORITHMS, SweepKind
+from .registry import SOLVERS, SweepKind
 from .serialize import (
     parse_instance,
     parse_solution,
@@ -51,6 +51,13 @@ _METAHEURISTIC_FLAGS = {
 }
 
 
+# GenConfig and SweepConfig fields by the dest of the flag that sets them;
+# bench leaves a flag not given off the namespace, so the base GenConfig
+# (bench.DEFAULT_BASE) or the SweepConfig default applies.
+_GEN_FLAGS = {"node_count": "nodes", "avg_degree": "avg_degree", "terminal_count": "terminals"}
+_SWEEP_FLAGS = {"trials": "trials", "algorithms": "algorithms", "ost_terminal_cap": "ost_cap"}
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; the CLI contract says 1.
     def error(self, message):
@@ -75,10 +82,11 @@ def _write_output(text: str, path: str | None) -> None:
         raise OSError(f"cannot write output: {exc}") from exc
 
 
-def _gen_config(args, seed: int):
+def _gen_config(args, seed: int, base=None):
     """GenConfig from --nodes, --avg-degree, --terminals and --demands
-    ('value:prob,value:prob,...'; probs accept fractions like 1/3)."""
-    from .generator import DEFAULT_DEMAND_SET, GenConfig
+    ('value:prob,value:prob,...'; probs accept fractions like 1/3). A flag
+    not given keeps its value in ``base`` (or the GenConfig default)."""
+    from .generator import GenConfig
 
     def number(token: str) -> float:
         token = token.strip()
@@ -87,7 +95,8 @@ def _gen_config(args, seed: int):
             return float(num) / float(den)
         return float(token)
 
-    demand_set = DEFAULT_DEMAND_SET
+    given = vars(args)
+    fields = {field: given[dest] for field, dest in _GEN_FLAGS.items() if dest in given}
     if args.demands:
         pairs = []
         for chunk in args.demands.split(","):
@@ -95,14 +104,13 @@ def _gen_config(args, seed: int):
                 raise InstanceError(f"demand entry {chunk!r} is not value:probability")
             value, prob = chunk.split(":", 1)
             pairs.append((number(value), number(prob)))
-        demand_set = tuple(pairs)
-    return GenConfig(
-        node_count=args.nodes,
-        avg_degree=args.avg_degree,
-        terminal_count=args.terminals,
-        demand_set=demand_set,
-        seed=seed,
-    )
+        fields["demand_set"] = tuple(pairs)
+    fields["seed"] = seed
+    return GenConfig(**fields) if base is None else replace(base, **fields)
+
+
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(name.strip() for name in text.split(","))
 
 
 def _metaheuristic_params(args):
@@ -143,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--terminals", required=True, type=int)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--demands", default=None,
-                     help="demand distribution value:prob,... (default 1:1/3,0.5:1/3,0.25:1/3)")
+                     help="demand distribution value:prob,... (default: GenConfig.demand_set)")
     gen.add_argument("--output", default=None, help="instance path (default stdout)")
 
     val = sub.add_parser("validate", help="validate a solution against an instance")
@@ -159,17 +167,24 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=[k.value for k in SweepKind])
     bench.add_argument("--values", required=True,
                        help="comma-separated sweep values, strictly increasing")
-    bench.add_argument("--trials", type=int, default=30)
-    bench.add_argument("--algorithms", default=",".join(SWEEP_ALGORITHMS),
-                       help="comma-separated algorithm names")
-    bench.add_argument("--nodes", type=int, default=100, help="base node count")
-    bench.add_argument("--avg-degree", type=float, default=4.0, help="base average degree")
-    bench.add_argument("--terminals", type=int, default=8, help="base terminal count")
-    bench.add_argument("--demands", default=None, help="base demand distribution")
+    unset = argparse.SUPPRESS
+    bench.add_argument("--trials", type=int, default=unset,
+                       help="seeds per sweep value (default: SweepConfig.trials)")
+    bench.add_argument("--algorithms", type=_names, default=unset,
+                       help="comma-separated algorithm names (default: SweepConfig.algorithms)")
+    bench.add_argument("--nodes", type=int, default=unset,
+                       help="base node count (default: bench.DEFAULT_BASE)")
+    bench.add_argument("--avg-degree", type=float, default=unset,
+                       help="base average degree (default: bench.DEFAULT_BASE)")
+    bench.add_argument("--terminals", type=int, default=unset,
+                       help="base terminal count (default: bench.DEFAULT_BASE)")
+    bench.add_argument("--demands", default=None,
+                       help="base demand distribution (default: bench.DEFAULT_BASE)")
     bench.add_argument("--csv", default="results.csv", help="results CSV path")
     bench.add_argument("--summary", default="summary.csv", help="summary CSV path")
-    bench.add_argument("--ost-cap", type=int, default=16,
-                       help="skip ost above this terminal count (default 16)")
+    bench.add_argument("--ost-cap", type=int, default=unset,
+                       help="skip ost above this terminal count "
+                            "(default: SweepConfig.ost_terminal_cap)")
     bench.add_argument("--timing", action="store_true",
                        help="record wall-clock runtimes (breaks byte-identical reruns)")
     _add_metaheuristic_flags(bench)
@@ -216,20 +231,24 @@ def cmd_validate(args) -> int:
     return EXIT_OK if not violations else EXIT_INFEASIBLE_SOLUTION
 
 
-def cmd_bench(args) -> int:
-    from .bench import SweepConfig, emit_csv, run_sweep, summarize
+def _sweep_config(args):
+    from .bench import DEFAULT_BASE, SweepConfig
 
-    cfg = SweepConfig(
+    given = vars(args)
+    return SweepConfig(
         sweep_kind=SweepKind(args.sweep),
         values=tuple(float(v) for v in args.values.split(",")),
-        trials=args.trials,
-        base=_gen_config(args, 0),
-        algorithms=tuple(a.strip() for a in args.algorithms.split(",")),
+        base=_gen_config(args, 0, DEFAULT_BASE),
         params=_metaheuristic_params(args),
-        ost_terminal_cap=args.ost_cap,
         measure_runtime=args.timing,
+        **{field: given[dest] for field, dest in _SWEEP_FLAGS.items() if dest in given},
     )
-    table = run_sweep(cfg)
+
+
+def cmd_bench(args) -> int:
+    from .bench import emit_csv, run_sweep, summarize
+
+    table = run_sweep(_sweep_config(args))
     _write_output(emit_csv(table), args.csv)
     _write_output(emit_csv(summarize(table)), args.summary)
     return EXIT_OK

@@ -7,8 +7,16 @@ from dataclasses import replace
 
 import pytest
 
-from ostflow import MetaheuristicParams, serialize_instance, serialize_solution, solve_ost
-from ostflow.cli import _metaheuristic_params, build_parser, main
+from ostflow import (
+    GenConfig,
+    MetaheuristicParams,
+    SweepConfig,
+    SweepKind,
+    serialize_instance,
+    serialize_solution,
+    solve_ost,
+)
+from ostflow.cli import _gen_config, _metaheuristic_params, _sweep_config, build_parser, main
 
 from helpers import child_env, close, oversized_instance
 
@@ -394,6 +402,27 @@ def test_metaheuristic_knobs_default_to_the_dataclass(command):
                               "--bco-abandonment", "4"])
     assert _metaheuristic_params(args) == replace(
         MetaheuristicParams(), population=7, heuristic_weight=3.0, abandonment_limit=4
+    )
+
+
+def test_bench_flags_default_to_the_dataclasses():
+    parser = build_parser()
+    required = ["bench", "--sweep", "user-count", "--values", "1"]
+    base = SweepConfig(sweep_kind=SweepKind.USER_COUNT, values=(1.0,))
+    assert _sweep_config(parser.parse_args(required)) == base
+    args = parser.parse_args([*required, "--trials", "3", "--algorithms", "ost, spt",
+                              "--ost-cap", "5", "--nodes", "20", "--terminals", "4"])
+    assert _sweep_config(args) == replace(
+        base, trials=3, algorithms=("ost", "spt"), ost_terminal_cap=5,
+        base=replace(base.base, node_count=20, terminal_count=4),
+    )
+
+
+def test_gen_flags_build_the_generator_config():
+    args = build_parser().parse_args(["gen", "--nodes", "12", "--avg-degree", "3",
+                                      "--terminals", "2", "--seed", "4"])
+    assert _gen_config(args, args.seed) == GenConfig(
+        node_count=12, avg_degree=3.0, terminal_count=2, seed=4
     )
 
 

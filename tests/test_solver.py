@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import json
 import math
 from dataclasses import replace
@@ -21,7 +22,7 @@ from ostflow import (
     solve_ost,
 )
 import ostflow.solver
-from ostflow.solver import LEAF, MERGE, UNSET, dp_grow, dp_init, dp_merge, reconstruct
+from ostflow.solver import EXTEND, LEAF, MERGE, UNSET, dp_grow, dp_init, dp_merge, reconstruct
 
 from helpers import W1_OPT_COST, W1_OPT_FLOWS, close, flows_close, oversized_instance
 
@@ -35,44 +36,43 @@ GOLDEN = Path(__file__).parent / "data" / "ost_golden.json"
 def test_dp_init_boundaries(w1):
     table = dp_init(w1)
     assert table.terminal_index == {2: 0, 3: 1}
-    assert table.cost[2, D1] == 0.0
-    assert table.cost[3, D2] == 0.0
-    assert table.kind[2, D1] == LEAF
-    assert table.cost[0, D1] == math.inf
-    assert table.kind[0, D1] == UNSET
+    assert table.cost[D1, 2] == 0.0
+    assert table.cost[D2, 3] == 0.0
+    assert table.kind[D1, 2] == LEAF
+    assert table.cost[D1, 0] == math.inf
+    assert table.kind[D1, 0] == UNSET
     # the empty subset stays unreachable everywhere
-    assert all(table.cost[v, 0] == math.inf for v in range(4))
+    assert all(table.cost[0, v] == math.inf for v in range(4))
     assert table.xmax[D1] == 0.25 and table.xmax[D2] == 1.0 and table.xmax[FULL] == 1.0
 
 
 def test_dp_grow_singleton_d1(w1):
     table = dp_init(w1)
-    dp_grow(table, w1, D1)
-    assert close(table.cost[3, D1], 0.05)
-    assert close(table.cost[1, D1], 0.025)
-    assert close(table.cost[0, D1], 0.125)  # path 0-3-1-2 at rate 0.25
+    dp_grow(table, w1, [D1])
+    assert close(table.cost[D1, 3], 0.05)
+    assert close(table.cost[D1, 1], 0.025)
+    assert close(table.cost[D1, 0], 0.125)  # path 0-3-1-2 at rate 0.25
 
 
 def test_dp_grow_singleton_d2(w1):
     table = dp_init(w1)
-    dp_grow(table, w1, D2)
-    assert close(table.cost[0, D2], 0.3)
-    assert close(table.cost[1, D2], 0.1)
+    dp_grow(table, w1, [D2])
+    assert close(table.cost[D2, 0], 0.3)
+    assert close(table.cost[D2, 1], 0.1)
 
 
 def test_dp_merge_full_mask(w1):
     table = dp_init(w1)
-    for mask in (D1, D2):
-        dp_grow(table, w1, mask)
-    dp_merge(table, w1, FULL)
+    dp_grow(table, w1, [D1, D2])
+    dp_merge(table, w1, [FULL])
     # merging the finalized singleton solutions at node 3: 0.05 + 0
-    assert close(table.cost[3, FULL], 0.05)
-    assert table.kind[3, FULL] == MERGE
+    assert close(table.cost[FULL, 3], 0.05)
+    assert table.kind[FULL, 3] == MERGE
     # at the source the two sub-solutions share edge (0,3); merge adds
     # their costs (0.125 + 0.3), and only grow from node 3 reaches 0.35
-    assert close(table.cost[0, FULL], 0.425)
-    assert table.kind[0, FULL] == MERGE
-    assert close(table.cost[1, FULL], 0.125)
+    assert close(table.cost[FULL, 0], 0.425)
+    assert table.kind[FULL, 0] == MERGE
+    assert close(table.cost[FULL, 1], 0.125)
 
 
 def test_dp_merge_noop_when_a_half_is_unreachable(w1):
@@ -80,7 +80,7 @@ def test_dp_merge_noop_when_a_half_is_unreachable(w1):
     # so every split of the full mask has an infinite half everywhere
     table = dp_init(w1)
     before = table.cost.copy()
-    dp_merge(table, w1, FULL)
+    dp_merge(table, w1, [FULL])
     assert (table.cost == before).all()
 
 
@@ -93,23 +93,22 @@ def test_dp_merge_ties_take_the_first_split_on_strict_improvement():
     table = dp_init(inst)
     # every split of the full set costs 1 + 2 = 3 at every node
     for mask in range(1, 0b111):
-        table.cost[:, mask] = mask.bit_count()
-    table.cost[2, 0b111] = 3.0  # already as cheap as any split
-    dp_merge(table, inst, 0b111)
+        table.cost[mask] = mask.bit_count()
+    table.cost[0b111, 2] = 3.0  # already as cheap as any split
+    dp_merge(table, inst, [0b111])
     for v in (0, 1, 3):
-        assert table.cost[v, 0b111] == 3.0
-        assert table.kind[v, 0b111] == MERGE
-        assert table.arg[v, 0b111] == 0b001  # lowest of 0b001, 0b011, 0b101
-    assert table.kind[2, 0b111] == UNSET
+        assert table.cost[0b111, v] == 3.0
+        assert table.kind[0b111, v] == MERGE
+        assert table.arg[0b111, v] == 0b001  # lowest of 0b001, 0b011, 0b101
+    assert table.kind[0b111, 2] == UNSET
 
 
 def test_dp_grow_full_mask_reaches_optimum(w1):
     table = dp_init(w1)
-    for mask in (D1, D2):
-        dp_grow(table, w1, mask)
-    dp_merge(table, w1, FULL)
-    dp_grow(table, w1, FULL)
-    assert close(table.cost[0, FULL], 0.35)
+    dp_grow(table, w1, [D1, D2])
+    dp_merge(table, w1, [FULL])
+    dp_grow(table, w1, [FULL])
+    assert close(table.cost[FULL, 0], 0.35)
 
 
 def test_solve_ost_w1(w1):
@@ -178,18 +177,111 @@ def test_reconstruct_unreachable_state_errors(w1):
         reconstruct(table, w1, 0, FULL)
 
 
+def test_reconstruct_refuses_a_record_cycle(w1):
+    # hand-made records: (0, D1) extends to node 1 and (1, D1) back to node 0
+    table = dp_init(w1)
+    table.cost[D1, [0, 1]] = 0.5
+    table.kind[D1, [0, 1]] = EXTEND
+    table.arg[D1, 0], table.arg[D1, 1] = 1, 0
+    with pytest.raises(ValueError, match=r"records form a cycle at \(node 0, subset 0x1\)"):
+        reconstruct(table, w1, 0, D1)
+
+
+def _layers(k: int) -> list[list[int]]:
+    """Nonempty subsets of k terminals, grouped by popcount, ascending."""
+    return [[s for s in range(1, 1 << k) if s.bit_count() == p] for p in range(1, k + 1)]
+
+
+def _filled(inst: Instance, per_subset: bool):
+    """The finished table, filled one layer or one subset per call (merge
+    leaves singletons alone)."""
+    table = dp_init(inst)
+    for layer in _layers(len(inst.terminals)):
+        for batch in ([s] for s in layer) if per_subset else [layer]:
+            dp_merge(table, inst, batch)
+            dp_grow(table, inst, batch)
+    return table
+
+
+BATCH_CASES = [(12, 3, 4, 1), (20, 3, 5, 2), (40, 4, 6, 3), (25, 2.2, 6, 4), (60, 5, 5, 5)]
+
+
+def _assert_same_tables(a, b):
+    assert a.cost.tobytes() == b.cost.tobytes()
+    assert a.kind.tobytes() == b.kind.tobytes()
+    assert a.arg.tobytes() == b.arg.tobytes()
+
+
+@pytest.mark.parametrize("n, degree, k, seed", BATCH_CASES)
+def test_layer_calls_match_per_subset_calls(n, degree, k, seed):
+    inst = generate_instance(
+        GenConfig(node_count=n, avg_degree=degree, terminal_count=k, seed=seed)
+    )
+    _assert_same_tables(_filled(inst, per_subset=False), _filled(inst, per_subset=True))
+
+
+def _best_first_grow(table, inst: Instance, subset: int) -> None:
+    """Reference grow for one subset: a heapq Dijkstra seeded with every
+    finite entry; ties settle lower node ids first and only a strict
+    improvement records EXTEND."""
+    xm = table.xmax[subset]
+    dist = table.cost[subset].tolist()
+    heap = [(d, v) for v, d in enumerate(dist) if d < math.inf]
+    heapq.heapify(heap)
+    settled = [False] * len(dist)
+    improved = {}
+    while heap:
+        d, v = heapq.heappop(heap)
+        if settled[v]:
+            continue
+        settled[v] = True
+        for u, w in inst.graph.adjacency[v]:
+            if d + xm * w < dist[u]:
+                dist[u] = d + xm * w
+                improved[u] = v
+                heapq.heappush(heap, (dist[u], u))
+    table.cost[subset] = dist
+    for u, v in improved.items():
+        table.kind[subset, u] = EXTEND
+        table.arg[subset, u] = v
+
+
+@pytest.mark.parametrize("n, degree, k, seed", BATCH_CASES + [(300, 4, 5, 6)])
+@pytest.mark.parametrize("integer_weights", [False, True])
+def test_grow_matches_best_first_records(n, degree, k, seed, integer_weights):
+    inst = generate_instance(
+        GenConfig(node_count=n, avg_degree=degree, terminal_count=k, seed=seed)
+    )
+    if integer_weights:
+        # weights 1, 2, 3: many neighbours reach a node at the same value
+        edges = tuple((u, v, float(1 + int(3 * w))) for u, v, w in inst.graph.edges)
+        inst = replace(inst, graph=Graph(inst.graph.node_count, edges))
+    reference = dp_init(inst)
+    for layer in _layers(k):
+        dp_merge(reference, inst, layer)
+        for subset in layer:
+            _best_first_grow(reference, inst, subset)
+    _assert_same_tables(_filled(inst, per_subset=False), reference)
+
+
+@pytest.mark.parametrize("n, degree, k, seed", BATCH_CASES)
+def test_tables_do_not_depend_on_chunk_size(n, degree, k, seed, monkeypatch):
+    inst = generate_instance(
+        GenConfig(node_count=n, avg_degree=degree, terminal_count=k, seed=seed)
+    )
+    whole = _filled(inst, per_subset=False)
+    # one subset (and one split) per chunk
+    monkeypatch.setattr(ostflow.solver, "CHUNK_ELEMENTS", 1)
+    _assert_same_tables(whole, _filled(inst, per_subset=False))
+
+
 def test_reconstruction_matches_table_cost():
     inst = generate_instance(GenConfig(node_count=20, avg_degree=3, terminal_count=4, seed=5))
     sol = solve_ost(inst)
-    table = dp_init(inst)
-    masks = sorted(range(1, 16), key=lambda s: (bin(s).count("1"), s))
-    for mask in masks:
-        if mask & (mask - 1):
-            dp_merge(table, inst, mask)
-        dp_grow(table, inst, mask)
-    assert close(sol.cost, float(table.cost[inst.source, 15]))
+    table = _filled(inst, per_subset=False)
+    assert close(sol.cost, float(table.cost[15, inst.source]))
     again = reconstruct(table, inst, inst.source, 15)
-    assert close(again.cost, float(table.cost[inst.source, 15]))
+    assert close(again.cost, float(table.cost[15, inst.source]))
 
 
 def test_subset_monotonicity_at_fixed_points():
@@ -197,17 +289,12 @@ def test_subset_monotonicity_at_fixed_points():
         inst = generate_instance(
             GenConfig(node_count=12, avg_degree=3, terminal_count=3, seed=seed)
         )
-        table = dp_init(inst)
-        masks = sorted(range(1, 8), key=lambda s: (bin(s).count("1"), s))
-        for mask in masks:
-            if mask & (mask - 1):
-                dp_merge(table, inst, mask)
-            dp_grow(table, inst, mask)
+        table = _filled(inst, per_subset=True)
         for small in range(1, 8):
             for big in range(1, 8):
                 if small & big == small:
                     for v in range(12):
-                        assert table.cost[v, small] <= table.cost[v, big] + 1e-9
+                        assert table.cost[small, v] <= table.cost[big, v] + 1e-9
 
 
 def test_solve_ost_deterministic():
