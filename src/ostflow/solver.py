@@ -50,7 +50,8 @@ UNSET, LEAF, MERGE, EXTEND = 0, 1, 2, 3
 STATE_BYTES = 13
 
 # Elements in any one temporary array of a merge or grow step; a layer is
-# processed in chunks of subsets (and of splits) that stay within it.
+# processed in chunks of subsets (and of splits) that stay within it, down
+# to one subset (and one split) per chunk on graphs too large for that.
 # Blocks of 2^16 float64 (512 KiB) ran faster than 2^20 at K=12-14.
 CHUNK_ELEMENTS = 1 << 16
 
@@ -177,8 +178,8 @@ def dp_merge(table: DpTable, inst: Instance, subsets) -> None:
     chunked.
 
     ``subsets`` is a 1-d sequence of masks of one popcount whose proper
-    subsets are final; each chunk of (subset, split, node) candidates
-    holds at most CHUNK_ELEMENTS of them.
+    subsets are final; candidates are costed in chunks of at most
+    CHUNK_ELEMENTS (subset, split, node) triples, or one split's row.
     """
     subsets = np.asarray(subsets, dtype=np.int64)
     p = int(subsets[0]).bit_count() if subsets.size else 0
@@ -222,7 +223,8 @@ def dp_grow(table: DpTable, inst: Instance, subsets) -> None:
     value in an earlier sweep, so records never form a cycle.
 
     ``subsets`` is a 1-d sequence of masks whose rows are merged; rows are
-    grown in chunks of at most CHUNK_ELEMENTS (subset, arc) pairs.
+    grown in chunks of at most CHUNK_ELEMENTS (subset, arc) pairs, or one
+    row.
     """
     subsets = np.asarray(subsets, dtype=np.int64)
     src, dst, weight = table.arcs
