@@ -1,7 +1,8 @@
 """Comparison solvers: spanning-tree, shortest-path union, and three
 metaheuristics (genetic, ant colony, bee colony).
 
-All emit FlowSolution and are pure functions of (instance, params); the
+All emit FlowSolution and are pure functions of (instance, params), with
+``runtime_ms`` 0.0 (``ostflow.registry`` times solver calls); the
 metaheuristics draw every random number from one seeded PCG64 stream, so
 a fixed seed reproduces the run bit for bit.
 
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,7 +124,6 @@ def solve_mst_prune(inst: Instance) -> FlowSolution:
     Deliberately wasteful on purpose: the flow is not differentiated per
     subtree, which is exactly what this baseline models.
     """
-    started = time.perf_counter()
     require_feasible(inst)
     n = inst.graph.node_count
     ordered = sorted((w, u, v) for u, v, w in inst.graph.edges)
@@ -133,49 +132,39 @@ def solve_mst_prune(inst: Instance) -> FlowSolution:
         raise ValueError("graph is disconnected; spanning tree does not exist")
     top = inst.max_demand()
     flows = {key: top for key in _tree_flows(n, tree, inst.source, inst.terminals)}
-    return make_solution(
-        inst, flows, "mst", runtime_ms=(time.perf_counter() - started) * 1e3
-    )
+    return make_solution(inst, flows, "mst")
 
 
-def _lexmin_shortest_paths(
-    inst: Instance, targets: set[int]
-) -> dict[int, tuple[int, ...]]:
-    """Lexicographically smallest shortest path from the source to each
-    target, as node sequences. Paths are prefix-consistent (each settled
-    node has one final path reused by everything routed through it), so
-    their union is always a tree. Every target must be reachable."""
+def _lexmin_shortest_path_tree(inst: Instance) -> list[tuple[int, int]]:
+    """(parent, child) edges of the lexicographically smallest shortest
+    paths from the source to every reachable node. The paths are
+    prefix-consistent (each settled node has one final path, reused by
+    everything routed through it), so their edges form a tree."""
     adjacency = inst.graph.adjacency
-    settled: dict[int, tuple[int, ...]] = {}
+    settled: set[int] = set()
+    tree: list[tuple[int, int]] = []
     heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (inst.source,))]
     while heap and len(settled) < inst.graph.node_count:
         d, path = heapq.heappop(heap)
         v = path[-1]
         if v in settled:
             continue
-        settled[v] = path
+        settled.add(v)
+        if len(path) > 1:
+            tree.append(path[-2:])
         for u, w in adjacency[v]:
             if u not in settled:
                 heapq.heappush(heap, (d + w, path + (u,)))
-    return {t: settled[t] for t in targets}
+    return tree
 
 
 def solve_sp_union(inst: Instance) -> FlowSolution:
-    """Shortest-path baseline: union the per-terminal shortest paths and
-    deduplicate flows per edge at the maximum demand among its users."""
-    started = time.perf_counter()
+    """Shortest-path baseline: union the per-terminal shortest paths, each
+    edge carrying the maximum demand among the terminals routed over it."""
     require_feasible(inst)
-    paths = _lexmin_shortest_paths(inst, set(inst.terminals))
-    flows: dict[tuple[int, int], float] = {}
-    for t in sorted(inst.terminals):
-        demand = inst.terminals[t]
-        path = paths[t]
-        for a, b in zip(path, path[1:]):
-            if flows.get((a, b), 0.0) < demand:
-                flows[(a, b)] = demand
-    return make_solution(
-        inst, flows, "spt", runtime_ms=(time.perf_counter() - started) * 1e3
-    )
+    tree = _lexmin_shortest_path_tree(inst)
+    flows = _tree_flows(inst.graph.node_count, tree, inst.source, inst.terminals)
+    return make_solution(inst, flows, "spt")
 
 
 class _SubsetDecoder:
@@ -268,7 +257,6 @@ def solve_ga(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSoluti
     initial population; it always decodes feasibly on a valid instance,
     so the best-ever solution exists. Elitism keeps the incumbent alive.
     """
-    started = time.perf_counter()
     require_feasible(inst)
     p = p or MetaheuristicParams()
     decoder = _SubsetDecoder(inst)
@@ -301,9 +289,7 @@ def solve_ga(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSoluti
                 child = tuple(x ^ 1 if f else x for x, f in zip(child, flips))
             children.append(child)
         population = children
-    return make_solution(
-        inst, best_flows, "ga", runtime_ms=(time.perf_counter() - started) * 1e3
-    )
+    return make_solution(inst, best_flows, "ga")
 
 
 def solve_bco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolution:
@@ -313,7 +299,6 @@ def solve_bco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
     proportion to inverse cost, and scouts reinitialize the stalest sites
     once they exceed the abandonment limit (at most a scout_fraction of
     the population per iteration). The all-ones site is seeded."""
-    started = time.perf_counter()
     require_feasible(inst)
     p = p or MetaheuristicParams()
     decoder = _SubsetDecoder(inst)
@@ -378,9 +363,7 @@ def solve_bco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
         for i in stuck[:max_scouts]:
             sites[i] = tuple(rng.integers(0, 2, size=length).tolist())
             stale[i] = 0
-    return make_solution(
-        inst, best_flows, "bco", runtime_ms=(time.perf_counter() - started) * 1e3
-    )
+    return make_solution(inst, best_flows, "bco")
 
 
 def _uniform_draws(rng: np.random.Generator):
@@ -439,7 +422,6 @@ def solve_aco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
     minimum spanning tree (dropping the dearest removable cycle edges),
     then pruned of non-required leaves. The global best deposits
     pheromone each iteration after evaporation."""
-    started = time.perf_counter()
     require_feasible(inst)
     p = p or MetaheuristicParams()
     draws = _uniform_draws(np.random.Generator(np.random.PCG64(p.seed)))
@@ -463,12 +445,7 @@ def solve_aco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
     best_flows: dict[tuple[int, int], float] | None = None
     best_support: set[int] = set()
     for _ in range(p.iterations):
-        if alpha == 1.0:
-            hops = [[(v, i, pheromone[i] * desir[i]) for v, i in nb] for nb in incident]
-        else:
-            hops = [
-                [(v, i, pheromone[i] ** alpha * desir[i]) for v, i in nb] for nb in incident
-            ]
+        hops = [[(v, i, pheromone[i] ** alpha * desir[i]) for v, i in nb] for nb in incident]
         for _ in range(p.ant_count):
             support: set[int] = set()
             for t in terminals:
@@ -486,6 +463,4 @@ def solve_aco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
         deposit = 1.0 / max(best_cost, 1e-12)
         for i in best_support:
             pheromone[i] += deposit
-    return make_solution(
-        inst, best_flows, "aco", runtime_ms=(time.perf_counter() - started) * 1e3
-    )
+    return make_solution(inst, best_flows, "aco")

@@ -45,6 +45,8 @@ class SweepConfig:
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         if not self.values:
             raise ValueError("values must be nonempty")
+        if not all(math.isfinite(v) for v in self.values):
+            raise ValueError(f"values must be finite, got {self.values}")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("values must be strictly increasing")
         if self.trials < 1:

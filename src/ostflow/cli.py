@@ -91,8 +91,10 @@ def _gen_config(args, seed: int, base=None):
     def number(token: str) -> float:
         token = token.strip()
         if "/" in token:
-            num, den = token.split("/", 1)
-            return float(num) / float(den)
+            num, den = (float(x) for x in token.split("/", 1))
+            if den == 0:
+                raise InstanceError(f"demand entry {token!r} divides by zero")
+            return num / den
         return float(token)
 
     given = vars(args)

@@ -14,6 +14,7 @@ sets (and their demands) nested across increasing ``terminal_count``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,10 @@ class GenConfig:
             raise InstanceError("node_count must be positive")
         if self.avg_degree <= 0:
             raise InstanceError("avg_degree must be positive")
+        if not math.isfinite(self.node_count * self.avg_degree):
+            raise InstanceError(
+                f"node_count x avg_degree = {self.node_count} x {self.avg_degree} is not finite"
+            )
         if not (1 <= self.terminal_count <= self.node_count - 1):
             raise InstanceError(
                 f"terminal_count {self.terminal_count} outside [1, {self.node_count - 1}]"

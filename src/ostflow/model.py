@@ -189,6 +189,8 @@ class FlowSolution:
     Keys of ``flows`` are (parent, child) pairs oriented away from the
     source; every flow is positive and every keyed edge exists undirected
     in the instance graph. ``cost`` is the sum of weight * flow.
+    ``runtime_ms`` is the wall time ``ostflow.registry`` measured for the
+    solver call; a solver function called directly leaves it 0.0.
     """
 
     flows: dict[tuple[int, int], float]
@@ -215,10 +217,7 @@ def flow_cost(graph: Graph, flows: dict[tuple[int, int], float]) -> float:
 
 
 def make_solution(
-    inst: Instance,
-    flows: dict[tuple[int, int], float],
-    algorithm: str,
-    runtime_ms: float = 0.0,
+    inst: Instance, flows: dict[tuple[int, int], float], algorithm: str
 ) -> FlowSolution:
     """Build a FlowSolution, computing cost from the flows.
 
@@ -231,6 +230,4 @@ def make_solution(
             raise ValueError(f"negative flow {f} on edge ({u}, {v})")
         if f != 0:
             kept[(u, v)] = f
-    return FlowSolution(
-        flows=kept, cost=flow_cost(inst.graph, kept), algorithm=algorithm, runtime_ms=runtime_ms
-    )
+    return FlowSolution(flows=kept, cost=flow_cost(inst.graph, kept), algorithm=algorithm)

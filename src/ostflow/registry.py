@@ -3,12 +3,16 @@
 Reading a name here imports no solver. Each ``SOLVERS`` entry imports
 its module the first time it is called, so a command that runs one
 solver loads only that solver's code.
+
+It is also the one place solver runs are timed (see ``Solver``); the
+solver functions themselves are pure and leave ``runtime_ms`` at 0.0.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from importlib import import_module
 
 
@@ -26,6 +30,8 @@ class Solver:
     """``solver(inst, params)``: ``module.function``, looked up at call time.
 
     ``tuned`` solvers take the MetaheuristicParams; the others ignore it.
+    The returned solution's ``runtime_ms`` is the function call's wall
+    time; importing the module on a first call is not counted.
     """
 
     module: str
@@ -34,7 +40,9 @@ class Solver:
 
     def __call__(self, inst, params=None):
         fn = getattr(import_module(self.module, __package__), self.function)
-        return fn(inst, params) if self.tuned else fn(inst)
+        started = time.perf_counter()
+        solution = fn(inst, params) if self.tuned else fn(inst)
+        return replace(solution, runtime_ms=(time.perf_counter() - started) * 1e3)
 
 
 SOLVERS = {

@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import math
 import os
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -126,47 +125,7 @@ def dp_init(inst: Instance) -> DpTable:
     )
 
 
-def _state_flows(table: DpTable, node: int, subset: int) -> dict[tuple[int, int], float]:
-    """The flow network of state (node, subset).
-
-    Follows decision records; edges shared between branches keep the
-    maximum of their flows. All referenced states must be reachable. The
-    branches of a record tree carry disjoint subsets, so a state met twice
-    means the records form a cycle.
-    """
-    kind = table.kind
-    arg = table.arg
-    xmax = table.xmax
-    flows: dict[tuple[int, int], float] = {}
-    stack = [(node, subset)]
-    visited = set()
-    while stack:
-        state = stack.pop()
-        if state in visited:
-            raise ValueError(f"decision records form a cycle at (node {state[0]}, "
-                             f"subset {state[1]:#x})")
-        visited.add(state)
-        node, mask = state
-        k = kind[mask, node]
-        if k == LEAF:
-            continue
-        if k == MERGE:
-            sub = int(arg[mask, node])
-            stack.append((node, sub))
-            stack.append((node, mask ^ sub))
-        elif k == EXTEND:
-            nxt = int(arg[mask, node])
-            f = xmax[mask]
-            key = (node, nxt)
-            if flows.get(key, 0.0) < f:
-                flows[key] = f
-            stack.append((nxt, mask))
-        else:
-            raise ValueError(f"unreachable state (node {node}, subset {mask:#x})")
-    return flows
-
-
-def dp_merge(table: DpTable, inst: Instance, subsets) -> None:
+def dp_merge(table: DpTable, subsets) -> None:
     """Merge phase for subsets of one popcount: the cheapest split at every node.
 
     A split {F, S - F} costs cost[F, v] + cost[S - F, v] at node v. Every
@@ -208,7 +167,7 @@ def dp_merge(table: DpTable, inst: Instance, subsets) -> None:
             arg[chunk[at], v] = halves[at, best[at, v]]
 
 
-def dp_grow(table: DpTable, inst: Instance, subsets) -> None:
+def dp_grow(table: DpTable, subsets) -> None:
     """Grow phase: settle each subset's row to its least fixed point.
 
     Per subset the row is relaxed, each arc paying the subset's maximum
@@ -290,20 +249,50 @@ def _grow_chunk(table: DpTable, subsets: np.ndarray, step: np.ndarray,
 
 
 def reconstruct(table: DpTable, inst: Instance, v: int, subset: int) -> FlowSolution:
-    """Flow network behind cost[subset, v]; error if the state is unreached."""
-    if not math.isfinite(table.cost[subset, v]):
-        raise ValueError(f"unreachable state (node {v}, subset {subset:#x})")
-    flows = _state_flows(table, v, subset)
+    """Flow network behind cost[subset, v], read from the decision records.
+
+    An edge met on several branches keeps the largest of its flows. Raises
+    ValueError at a state with no record (unreached) or at a state met
+    twice: a record tree's branches carry disjoint subsets, so that means
+    the records form a cycle.
+    """
+    kind, arg, xmax = table.kind, table.arg, table.xmax
+    flows: dict[tuple[int, int], float] = {}
+    stack = [(v, subset)]
+    visited = set()
+    while stack:
+        state = stack.pop()
+        if state in visited:
+            raise ValueError(f"decision records form a cycle at (node {state[0]}, "
+                             f"subset {state[1]:#x})")
+        visited.add(state)
+        node, mask = state
+        k = kind[mask, node]
+        if k == LEAF:
+            continue
+        if k == MERGE:
+            sub = int(arg[mask, node])
+            stack.append((node, sub))
+            stack.append((node, mask ^ sub))
+        elif k == EXTEND:
+            nxt = int(arg[mask, node])
+            f = xmax[mask]
+            key = (node, nxt)
+            if flows.get(key, 0.0) < f:
+                flows[key] = f
+            stack.append((nxt, mask))
+        else:
+            raise ValueError(f"unreachable state (node {node}, subset {mask:#x})")
     return make_solution(inst, flows, algorithm="ost")
 
 
 def solve_ost(inst: Instance) -> FlowSolution:
     """Exact minimum-cost solution for the full terminal set at the source.
 
-    Deterministic for a given instance. Raises InfeasibleInstanceError when
-    some terminal is unreachable.
+    A pure function of the instance (``runtime_ms`` is 0.0; the solver
+    registry times the call). Raises InfeasibleInstanceError when some
+    terminal is unreachable.
     """
-    started = time.perf_counter()
     require_feasible(inst)
     table = dp_init(inst)
     k = len(table.terminal_index)
@@ -312,8 +301,6 @@ def solve_ost(inst: Instance) -> FlowSolution:
     for p in range(1, k + 1):
         layer = masks[popcount == p]
         if p > 1:
-            dp_merge(table, inst, layer)
-        dp_grow(table, inst, layer)
-    solution = reconstruct(table, inst, inst.source, table.full_mask)
-    runtime_ms = (time.perf_counter() - started) * 1e3
-    return replace(solution, runtime_ms=runtime_ms)
+            dp_merge(table, layer)
+        dp_grow(table, layer)
+    return reconstruct(table, inst, inst.source, table.full_mask)

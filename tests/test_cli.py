@@ -17,6 +17,7 @@ from ostflow import (
     solve_ost,
 )
 from ostflow.cli import _gen_config, _metaheuristic_params, _sweep_config, build_parser, main
+from ostflow.registry import SOLVERS
 
 from helpers import child_env, close, oversized_instance
 
@@ -112,6 +113,14 @@ def test_solve_oracle_limit_exits_1(capsys, tmp_path):
         capsys, "solve", "--instance", tmp_path / "big.json", "--algorithm", "oracle"
     )
     assert code == 1 and "oracle limit" in err
+
+
+@pytest.mark.parametrize("algorithm", list(SOLVERS))
+def test_solve_timing_records_every_solvers_runtime(capsys, w1_path, algorithm):
+    code, out, _ = run(capsys, "solve", "--instance", w1_path, "--algorithm", algorithm,
+                       "--iters", 3, "--pop", 4, "--timing")
+    assert code == 0
+    assert json.loads(out)["runtime_ms"] > 0
 
 
 def test_solve_refuses_infeasible_solution(capsys, w1_path, monkeypatch):
@@ -424,6 +433,43 @@ def test_gen_flags_build_the_generator_config():
     assert _gen_config(args, args.seed) == GenConfig(
         node_count=12, avg_degree=3.0, terminal_count=2, seed=4
     )
+
+
+def test_bench_timing_records_oracle_runtime(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("OST_THREADS", "1")
+    csv = tmp_path / "r.csv"
+    code, _, _ = run(
+        capsys, "bench", "--sweep", "user-count", "--values", "2", "--trials", 1,
+        "--algorithms", "oracle,ost", "--nodes", 8, "--avg-degree", 3, "--terminals", 2,
+        "--timing", "--csv", csv, "--summary", tmp_path / "s.csv",
+    )
+    assert code == 0
+    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    assert [row[3] for row in rows] == ["oracle", "ost"]
+    assert all(float(row[5]) > 0 for row in rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--nodes", 10, "--avg-degree", "inf", "--terminals", 2),
+        ("gen", "--nodes", 10, "--avg-degree", "1e308", "--terminals", 2),
+        ("gen", "--nodes", 10, "--avg-degree", 3, "--terminals", 2, "--demands", "1:1/0"),
+        ("gen", "--nodes", 10, "--avg-degree", 3, "--terminals", 2,
+         "--demands", "1:0.5,0.5/0:0.5"),
+        ("bench", "--sweep", "user-count", "--values", "inf"),
+        ("bench", "--sweep", "avg-degree", "--values", "1e400"),
+    ],
+    ids=["degree-inf", "degree-1e308", "prob-over-0", "value-over-0", "values-inf",
+         "values-1e400"],
+)
+def test_non_finite_generator_and_sweep_numbers_exit_1(capsys, tmp_path, argv):
+    if argv[0] == "bench":
+        argv += ("--csv", tmp_path / "r.csv", "--summary", tmp_path / "s.csv")
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("ostflow: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_bench_invalid_sweep_exits_1(capsys, tmp_path):
