@@ -2,7 +2,9 @@
 
 Topology: a uniform random spanning tree (decoded from a random Pruefer
 sequence) plus extra edges drawn uniformly among the absent node pairs,
-so the graph is always connected. Weights are i.i.d. uniform on (0, 1).
+so the graph is always connected. Extra edges are sampled by pair rank,
+without listing the absent pairs: O(m log m) time and O(n + m) memory
+for m edges. Weights are i.i.d. uniform on (0, 1).
 All randomness flows from a single PCG64 generator seeded by the config,
 so identical configs produce bit-identical instances.
 
@@ -57,9 +59,11 @@ class GenConfig:
             raise InstanceError(
                 f"terminal_count {self.terminal_count} outside [1, {self.node_count - 1}]"
             )
-        if self.edge_count > self.node_count * (self.node_count - 1) // 2:
+        full = self.node_count * (self.node_count - 1) // 2
+        if self.edge_count > full:
             raise InstanceError(
-                f"requested {self.edge_count} edges exceed the complete graph"
+                f"requested node_count x avg_degree / 2 = {self.node_count} x {self.avg_degree}"
+                f" / 2 edges, more than the complete graph's {full} on {self.node_count} nodes"
             )
         for value, prob in self.demand_set:
             if value <= 0:
@@ -147,14 +151,17 @@ def generate_instance(cfg: GenConfig) -> Instance:
     extra = m - len(tree)
     pairs = list(tree)
     if extra > 0:
-        absent = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if (u, v) not in tree
-        ]
-        picked = rng.choice(len(absent), size=extra, replace=False)
-        pairs.extend(absent[int(i)] for i in picked)
+        # Pair (u, v), u < v, has rank start[u] + v - u - 1 in ascending
+        # (u, v) order. Absent pair i has rank i plus the number of tree
+        # ranks below it, which t - arange counts by a binary search.
+        nodes = np.arange(n)
+        start = nodes * (2 * n - nodes - 1) // 2
+        tu, tv = np.array(sorted(tree)).T
+        t = start[tu] + tv - tu - 1
+        picked = rng.choice(n * (n - 1) // 2 - len(tree), size=extra, replace=False)
+        ranks = picked + np.searchsorted(t - np.arange(len(t)), picked, side="right")
+        u = np.searchsorted(start, ranks, side="right") - 1
+        pairs.extend(zip(u.tolist(), (ranks - start[u] + u + 1).tolist()))
     return _finish_instance(rng, cfg, pairs)
 
 

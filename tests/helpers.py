@@ -10,6 +10,7 @@ from ostflow import (
     Graph,
     Instance,
     generate_instance,
+    generate_regular_instance,
     serialize_solution,
     solve_aco,
     solve_bco,
@@ -98,3 +99,20 @@ BASELINES = {
     "aco": solve_aco,
     "bco": solve_bco,
 }
+
+
+def generator_golden_instance(spec: dict):
+    """Instance named by a generator golden-table entry.
+
+    The spec holds the ``GenConfig`` fields (``demand_set`` null for the
+    default); a ``regular_degree`` that is not null asks for
+    :func:`generate_regular_instance` with that degree.
+    """
+    keys = ("node_count", "avg_degree", "terminal_count", "seed")
+    fields = {k: spec[k] for k in keys}
+    if spec["demand_set"] is not None:
+        fields["demand_set"] = tuple(map(tuple, spec["demand_set"]))
+    cfg = GenConfig(**fields)
+    if spec["regular_degree"] is None:
+        return generate_instance(cfg)
+    return generate_regular_instance(cfg, spec["regular_degree"])

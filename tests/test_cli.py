@@ -472,6 +472,14 @@ def test_non_finite_generator_and_sweep_numbers_exit_1(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+def test_gen_overfull_degree_names_the_complete_graph_limit(capsys):
+    code, out, err = run(capsys, "gen", "--nodes", 10, "--avg-degree", "1e300", "--terminals", 2)
+    assert code == 1 and out == ""
+    assert err.startswith("ostflow: ") and err.count("\n") == 1
+    assert "45" in err and len(err) < 200
+    assert "Traceback" not in err
+
+
 def test_bench_invalid_sweep_exits_1(capsys, tmp_path):
     code, _, _ = run(
         capsys, "bench", "--sweep", "user-count", "--values", "2,1",

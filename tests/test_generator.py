@@ -1,3 +1,8 @@
+import hashlib
+import json
+import tracemalloc
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +14,10 @@ from ostflow import (
     generate_regular_instance,
     serialize_instance,
 )
+
+from helpers import generator_golden_instance
+
+GOLDEN = Path(__file__).parent / "data" / "generator_golden.json"
 
 
 def test_complete_graph_forced_by_edge_count():
@@ -120,3 +129,31 @@ def test_regular_instance_rejects_odd_total():
     cfg = GenConfig(node_count=5, avg_degree=3, terminal_count=1, seed=0)
     with pytest.raises(InstanceError, match="even"):
         generate_regular_instance(cfg, 3)
+
+
+def test_generated_instances_match_golden():
+    # SHA-256 of every serialized instance, recorded by
+    # tests/record_generator_golden.py: a config must reproduce its
+    # instance bit for bit, from tree-only to complete graphs, with a
+    # non-default demand set and through generate_regular_instance
+    rows = json.loads(GOLDEN.read_text())
+    assert len(rows) == 78
+    for row in rows:
+        doc = serialize_instance(generator_golden_instance(row["instance"]))
+        assert hashlib.sha256(doc.encode()).hexdigest() == row["sha256"], row["instance"]
+
+
+def test_generation_memory_is_linear_in_edges():
+    # listing all n(n-1)/2 node pairs would take hundreds of MiB at n=3000
+    cfg = GenConfig(node_count=3000, avg_degree=4, terminal_count=8, seed=1)
+    tracemalloc.start()
+    try:
+        inst = generate_instance(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    pairs = {(u, v) for u, v, _ in inst.graph.edges}
+    assert len(pairs) == inst.graph.edge_count == cfg.edge_count
+    assert all(0 <= u < v < 3000 for u, v in pairs)
+    assert len(inst.graph.reachable_from(0)) == 3000
