@@ -223,22 +223,6 @@ class _SubsetDecoder:
         return (flow_cost(inst.graph, flows), flows)
 
 
-def decode_node_subset(
-    inst: Instance, selected: set[int]
-) -> FlowSolution | None:
-    """Decode an explicit node subset; None marks an infeasible subset."""
-    selected = set(selected)
-    required = {inst.source} | set(inst.terminals)
-    if not required <= selected:
-        raise ValueError("selected nodes must include the source and all terminals")
-    n = inst.graph.node_count
-    mask = np.zeros(n, dtype=bool)
-    # ids outside the graph stay in the count, so such a subset is infeasible
-    mask[[x for x in selected if 0 <= x < n]] = True
-    _, flows = _SubsetDecoder(inst).decode_mask(mask, len(selected))
-    return None if flows is None else make_solution(inst, flows, "decode")
-
-
 def _tournament(
     rng: np.random.Generator, fits: list[float], size: int
 ) -> int:

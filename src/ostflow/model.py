@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 class InstanceError(ValueError):
@@ -132,9 +132,6 @@ class Instance:
 
     def max_demand(self) -> float:
         return max(self.terminals.values())
-
-    def with_demands(self, terminals: dict[int, float]) -> "Instance":
-        return replace(self, terminals=terminals)
 
 
 def _instance_problems(inst: Instance) -> list[str]:

@@ -17,7 +17,9 @@ vectorised step and growing it with a Bellman-Ford that relaxes, sweep
 after sweep, only the arcs leaving nodes whose value just changed. Its
 fixed point, and with positive edge weights its decision records, are
 those of a best-first (Dijkstra) pass per subset seeded with every finite
-entry.
+entry. Both steps work in chunks of CHUNK_ELEMENTS elements, and every
+(subset, split, node), (subset, arc) and (subset, node) temporary is a
+view of one per-solve Workspace that dp_init allocates.
 
 The optimum for the full terminal set at the source is exact. Each table
 value is at least the cost of the feasible network its decisions
@@ -51,8 +53,36 @@ STATE_BYTES = 13
 # Elements in any one temporary array of a merge or grow step; a layer is
 # processed in chunks of subsets (and of splits) that stay within it, down
 # to one subset (and one split) per chunk on graphs too large for that.
-# Blocks of 2^16 float64 (512 KiB) ran faster than 2^20 at K=12-14.
+# Blocks of 2^16 float64 (512 KiB) ran faster than 2^20 at K=12-14. The
+# temporaries are views of one per-solve Workspace of this many elements
+# per buffer (more where one row alone is larger), allocated by dp_init.
 CHUNK_ELEMENTS = 1 << 16
+
+
+class Workspace:
+    """Flat buffers that every merge and grow chunk of one solve writes into.
+
+    Allocating them once per solve, rather than each chunk temporary
+    afresh, spares a solve the allocator's mmap/munmap and first-touch
+    page faults on every chunk. Each buffer holds max(``budget``, one
+    row) elements, where ``budget`` is CHUNK_ELEMENTS when the table was
+    made and one row is one subset's arcs or nodes. At the default budget
+    the whole is 3.75 MiB: under the 4 MiB from which numpy asks for huge
+    pages, which would add to the resident set in 2 MiB steps.
+    """
+
+    def __init__(self, budget: int, row: int):
+        self.budget = budget
+        size = max(budget, row)
+        # one allocation: once freed, the next solve can get it back whole
+        # from the allocator instead of as fresh pages
+        layout = [(4, np.dtype(np.float64)), (3, np.dtype(np.intp)), (4, np.dtype(bool))]
+        ends = np.cumsum([count * size * d.itemsize for count, d in layout])
+        parts = np.split(np.empty(ends[-1], dtype=np.uint8), ends[:-1])
+        # (4, size) float64, (3, size) intp and (4, size) bool
+        self.real, self.index, self.flag = (
+            p.view(d).reshape(count, size) for p, (count, d) in zip(parts, layout)
+        )
 
 
 @dataclass
@@ -66,6 +96,7 @@ class DpTable:
     ``cost`` holds the additive recurrence's values: a MERGE state costs
     the sum of its two halves, which is exact at (source, full set).
     ``arcs`` lists both directions of every edge as (src, dst, weight).
+    ``workspace`` holds the merge and grow temporaries.
     """
 
     terminal_index: dict[int, int]
@@ -74,6 +105,7 @@ class DpTable:
     kind: np.ndarray    # (2^K, M) int8
     arg: np.ndarray     # (2^K, M) int32
     arcs: tuple[np.ndarray, np.ndarray, np.ndarray]
+    workspace: Workspace
 
     @property
     def full_mask(self) -> int:
@@ -111,17 +143,21 @@ def dp_init(inst: Instance) -> DpTable:
     for mask in range(1, 1 << k):
         low = mask & -mask
         xmax[mask] = max(xmax[mask ^ low], demands[low.bit_length() - 1])
+    edges = np.fromiter(chain.from_iterable(inst.graph.edges), np.float64).reshape(-1, 3)
+    # before the table, so that each solve's workspace can take the block
+    # the last one freed
+    workspace = Workspace(CHUNK_ELEMENTS, max(m, 2 * len(edges)))
     cost = np.full((1 << k, m), math.inf)
     kind = np.zeros((1 << k, m), dtype=np.int8)
     arg = np.zeros((1 << k, m), dtype=np.int32)
     for t, i in terminal_index.items():
         cost[1 << i, t] = 0.0
         kind[1 << i, t] = LEAF
-    edges = np.fromiter(chain.from_iterable(inst.graph.edges), np.float64).reshape(-1, 3)
     u, v = edges[:, 0].astype(np.intp), edges[:, 1].astype(np.intp)
     arcs = (np.concatenate([u, v]), np.concatenate([v, u]), np.tile(edges[:, 2], 2))
     return DpTable(
-        terminal_index=terminal_index, xmax=xmax, cost=cost, kind=kind, arg=arg, arcs=arcs
+        terminal_index=terminal_index, xmax=xmax, cost=cost, kind=kind, arg=arg, arcs=arcs,
+        workspace=workspace,
     )
 
 
@@ -137,8 +173,9 @@ def dp_merge(table: DpTable, subsets) -> None:
     chunked.
 
     ``subsets`` is a 1-d sequence of masks of one popcount whose proper
-    subsets are final; candidates are costed in chunks of at most
-    CHUNK_ELEMENTS (subset, split, node) triples, or one split's row.
+    subsets are final; candidates are costed in chunks of at most the
+    table's chunk budget of (subset, split, node) triples, or one split's
+    row, in the table's workspace.
     """
     subsets = np.asarray(subsets, dtype=np.int64)
     p = int(subsets[0]).bit_count() if subsets.size else 0
@@ -149,22 +186,33 @@ def dp_merge(table: DpTable, subsets) -> None:
     positions = np.nonzero(bits)[1].reshape(-1, p)
     r = np.arange(1, (1 << p) - 1, 2)
     splits = (1 << positions) @ ((r[:, None] >> np.arange(p)) & 1).T  # (L, splits)
-    cost, kind, arg = table.cost, table.kind, table.arg
+    cost, kind, arg, ws = table.cost, table.kind, table.arg, table.workspace
     n = cost.shape[1]
-    rows = max(1, CHUNK_ELEMENTS // (splits.shape[1] * n))
-    cols = max(1, CHUNK_ELEMENTS // (rows * n))
+    rows = max(1, ws.budget // (splits.shape[1] * n))
+    cols = max(1, ws.budget // (rows * n))
     for i in range(0, len(subsets), rows):
         chunk = subsets[i:i + rows]
         for j in range(0, splits.shape[1], cols):
             halves = splits[i:i + rows, j:j + cols]
-            candidates = cost[halves]
-            candidates += cost[chunk[:, None] ^ halves]
-            best = candidates.argmin(axis=1)
-            values = np.take_along_axis(candidates, best[:, None, :], axis=1)[:, 0]
-            at, v = np.nonzero(values < cost[chunk])
-            cost[chunk[at], v] = values[at, v]
-            kind[chunk[at], v] = MERGE
-            arg[chunk[at], v] = halves[at, best[at, v]]
+            shape = (len(chunk), halves.shape[1], n)
+            candidates = _take(cost, halves, ws.real[0], shape)
+            np.add(candidates, _take(cost, chunk[:, None] ^ halves, ws.real[1], shape),
+                   out=candidates)
+            # split axis last, as argmin would copy it, but into the workspace
+            by_node = _view(ws.real[1], (shape[0], n, shape[1]))
+            np.copyto(by_node.transpose(0, 2, 1), candidates)
+            best = np.argmin(by_node, axis=2, out=_view(ws.index[0], shape[::2]))
+            values = np.minimum.reduce(by_node, axis=2, out=_view(ws.real[0], shape[::2]))
+            here = _take(cost, chunk, ws.real[2], shape[::2])
+            better = np.less(values, here, out=_view(ws.flag[0], shape[::2]))
+            if not better.any():
+                continue
+            np.add(best, (np.arange(shape[0]) * shape[1])[:, None], out=best)
+            chosen = _take(halves, best, ws.index[1], best.shape, axis=None)
+            np.copyto(here, values, where=better)
+            cost[chunk] = here
+            _put_rows(kind, chunk, MERGE, better, ws.flag[1].view(np.int8))
+            _put_rows(arg, chunk, chosen, better, ws.index[0].view(np.int32))
 
 
 def dp_grow(table: DpTable, subsets) -> None:
@@ -182,70 +230,124 @@ def dp_grow(table: DpTable, subsets) -> None:
     value in an earlier sweep, so records never form a cycle.
 
     ``subsets`` is a 1-d sequence of masks whose rows are merged; rows are
-    grown in chunks of at most CHUNK_ELEMENTS (subset, arc) pairs, or one
-    row.
+    grown in chunks of at most the table's chunk budget of (subset, arc)
+    and (subset, node) pairs, or one row, in the table's workspace.
     """
     subsets = np.asarray(subsets, dtype=np.int64)
-    src, dst, weight = table.arcs
-    if not (subsets.size and src.size):
+    if not (subsets.size and table.arcs[0].size):
         return
     xmax = np.asarray(table.xmax)
-    rows = max(1, CHUNK_ELEMENTS // src.size)
+    rows = max(1, table.workspace.budget // max(table.arcs[0].size, table.cost.shape[1]))
     for i in range(0, len(subsets), rows):
         chunk = subsets[i:i + rows]
-        _grow_chunk(table, chunk, xmax[chunk][:, None] * weight, src, dst)
+        _grow_chunk(table, chunk, xmax[chunk])
 
 
-def _row_min(shape: tuple[int, int], heads: np.ndarray, values: np.ndarray,
-             fill: float) -> np.ndarray:
-    """Per row, the least of ``values`` landing on each node (``fill`` if none)."""
-    out = np.full(shape, fill, dtype=values.dtype)
-    index = np.arange(shape[0])[:, None] * shape[1] + heads
+def _view(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The leading elements of a flat workspace buffer, as an array of ``shape``."""
+    return buffer[:math.prod(shape)].reshape(shape)
+
+
+def _take(array: np.ndarray, indices: np.ndarray, buffer: np.ndarray,
+          shape: tuple[int, ...], axis: int | None = 0) -> np.ndarray:
+    """``np.take`` into a workspace buffer. The indices are in range, so
+    ``clip`` mode changes nothing but skips the default mode's temporary
+    copy of the output."""
+    return np.take(array, indices, axis=axis, out=_view(buffer, shape), mode="clip")
+
+
+def _put_rows(array: np.ndarray, rows: np.ndarray, new, where: np.ndarray,
+              buffer: np.ndarray) -> None:
+    """array[rows] takes ``new`` where ``where`` is set, through a workspace buffer."""
+    old = _take(array, rows, buffer, where.shape)
+    np.copyto(old, new, where=where)
+    array[rows] = old
+
+
+def _row_min(out: np.ndarray, fill, index: np.ndarray, heads: np.ndarray,
+             values: np.ndarray) -> np.ndarray:
+    """Per row of ``out``, the least of ``values`` landing on each node (``fill``
+    if none); ``index`` is a buffer of ``values``' shape."""
+    out.fill(fill)
+    np.add((np.arange(out.shape[0]) * out.shape[1])[:, None], heads, out=index)
     np.minimum.at(out.reshape(-1), index.reshape(-1), values.reshape(-1))
     return out
 
 
-def _grow_chunk(table: DpTable, subsets: np.ndarray, step: np.ndarray,
-                src: np.ndarray, dst: np.ndarray) -> None:
-    """Bellman-Ford over the rows of ``subsets``; ``step`` is xmax(S) * w per arc."""
-    seed = table.cost[subsets]
-    value = seed.copy()
-    sweep_of = np.zeros(value.shape, dtype=np.int32)  # sweep of the last change
-    rows = np.arange(len(subsets))
-    moved = np.isfinite(value).any(axis=0)
+def _grow_chunk(table: DpTable, subsets: np.ndarray, xmax: np.ndarray) -> None:
+    """Bellman-Ford over the rows of ``subsets``; an arc costs xmax(S) * w in row S."""
+    src, dst, weight = table.arcs
+    ws = table.workspace
+    c, n, e = len(subsets), table.cost.shape[1], src.size
+    small = ws.index[2].view(np.int32)  # int32 scratch, two (c, n) or (c, e) arrays long
+    value = _take(table.cost, subsets, ws.real[0], (c, n))
+    # sweep of each node's last change, then the recorded predecessors
+    sweep_of, pred = _view(ws.index[0].view(np.int32), (2, c, n))
+    sweep_of.fill(0)
+    rows = np.arange(c)
+    moved = np.isfinite(value, out=_view(ws.flag[0], (c, n))).any(axis=0)
     sweep = 0
     while rows.size:
         sweep += 1
         arcs = np.flatnonzero(moved[src])
-        current = value[rows]
-        reached = _row_min(current.shape, dst[arcs],
-                           current[:, src[arcs]] + step[rows[:, None], arcs], math.inf)
-        better = reached < current
-        at, v = np.nonzero(better)
-        value[rows[at], v] = reached[at, v]
-        sweep_of[rows[at], v] = sweep
+        shape = (rows.size, arcs.size)
+        tails = _view(ws.index[1], shape)
+        np.add((rows * n)[:, None], src[arcs], out=tails)
+        candidates = _take(value, tails, ws.real[1], shape, axis=None)
+        step = np.multiply(xmax[rows][:, None], weight[arcs], out=_view(ws.real[2], shape))
+        np.add(candidates, step, out=candidates)
+        reached = _row_min(_view(ws.real[2], (rows.size, n)), math.inf, tails, dst[arcs],
+                           candidates)
+        if rows.size == c:
+            better = np.less(reached, value, out=_view(ws.flag[0], reached.shape))
+            np.copyto(value, reached, where=better)
+            np.copyto(sweep_of, sweep, where=better)
+        else:
+            current = _take(value, rows, ws.real[1], reached.shape)
+            better = np.less(reached, current, out=_view(ws.flag[0], reached.shape))
+            np.copyto(current, reached, where=better)
+            value[rows] = current
+            _put_rows(sweep_of, rows, sweep, better, small)
         moved = better.any(axis=0)
         rows = rows[better.any(axis=1)]
-    table.cost[subsets] = value
 
-    improved = value < seed
+    seed = _take(table.cost, subsets, ws.real[1], (c, n))
+    improved = np.less(value, seed, out=_view(ws.flag[0], (c, n)))
+    table.cost[subsets] = value
     if not improved.any():
         return
-    n = value.shape[1]
-    tail, head = value[:, src], value[:, dst]
+    tail = _take(value, src, ws.real[1], (c, e), axis=1)
+    arrival = np.multiply(xmax[:, None], weight, out=_view(ws.real[2], (c, e)))
+    np.add(tail, arrival, out=arrival)
+    head = _take(value, dst, ws.real[3], (c, e), axis=1)
+    reaches = np.equal(arrival, head, out=_view(ws.flag[1], (c, e)))
     # the least value among neighbours that reach a node's value: below the
     # node's own value unless only equal-valued neighbours reach it
-    reaches = tail + step == head
-    key = np.where(reaches, tail, math.inf)
-    lowest = _row_min(value.shape, dst, key, math.inf)
-    pred = _row_min(value.shape, dst, np.where(key == lowest[:, dst], src, n), n)
-    tied = improved & (lowest == value)
+    key = arrival
+    key.fill(math.inf)
+    np.copyto(key, tail, where=reaches)
+    index = _view(ws.index[1], (c, e))
+    lowest = _row_min(_view(ws.real[1], (c, n)), math.inf, index, dst, key)
+    lowest_at_head = _take(lowest, dst, ws.real[3], (c, e), axis=1)
+    choice = np.equal(key, lowest_at_head, out=_view(ws.flag[2], (c, e)))
+    candidates = _view(small, (c, e))
+    candidates.fill(n)
+    np.copyto(candidates, src, where=choice)
+    _row_min(pred, n, index, dst, candidates)
+    tied = np.equal(lowest, value, out=_view(ws.flag[2], (c, n)))
+    np.logical_and(tied, improved, out=tied)
     if tied.any():
-        earlier = reaches & (sweep_of[:, src] < sweep_of[:, dst])
-        pred = np.where(tied, _row_min(value.shape, dst, np.where(earlier, src, n), n), pred)
-    at, v = np.nonzero(improved)
-    table.kind[subsets[at], v] = EXTEND
-    table.arg[subsets[at], v] = pred[at, v]
+        tail_sweep, head_sweep = _view(small, (2, c, e))
+        earlier = np.less(np.take(sweep_of, src, axis=1, out=tail_sweep, mode="clip"),
+                          np.take(sweep_of, dst, axis=1, out=head_sweep, mode="clip"),
+                          out=_view(ws.flag[3], (c, e)))
+        np.logical_and(earlier, reaches, out=earlier)
+        candidates.fill(n)
+        np.copyto(candidates, src, where=earlier)
+        # sweep_of is read; its buffer takes the tied predecessors
+        np.copyto(pred, _row_min(sweep_of, n, index, dst, candidates), where=tied)
+    _put_rows(table.kind, subsets, EXTEND, improved, ws.flag[1].view(np.int8))
+    _put_rows(table.arg, subsets, pred, improved, small)
 
 
 def reconstruct(table: DpTable, inst: Instance, v: int, subset: int) -> FlowSolution:

@@ -4,6 +4,9 @@ import hashlib
 import os
 from dataclasses import replace
 
+import numpy as np
+import pytest
+
 import ostflow
 from ostflow import (
     GenConfig,
@@ -18,9 +21,17 @@ from ostflow import (
     solve_mst_prune,
     solve_sp_union,
 )
+from ostflow.baselines import _SubsetDecoder
+from ostflow.model import make_solution
 
 W1_OPT_COST = 0.35
 W1_OPT_FLOWS = {(0, 3): 1.0, (3, 1): 0.25, (1, 2): 0.25}
+
+
+# the slow tier: tests that run only with OSTFLOW_SLOW=1 in the environment
+slow = pytest.mark.skipif(
+    os.environ.get("OSTFLOW_SLOW") != "1", reason="slow tier; set OSTFLOW_SLOW=1 to run"
+)
 
 
 def close(a: float, b: float, tol: float = 1e-9) -> bool:
@@ -52,6 +63,27 @@ def child_env() -> dict:
     root = os.path.dirname(os.path.dirname(os.path.abspath(ostflow.__file__)))
     pythonpath = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
     return dict(os.environ, PYTHONPATH=pythonpath)
+
+
+def with_demands(inst: Instance, terminals: dict[int, float]) -> Instance:
+    """``inst`` with its terminals and demands replaced."""
+    return replace(inst, terminals=terminals)
+
+
+def decode_node_subset(inst: Instance, selected: set[int]):
+    """The metaheuristics' decoding of an explicit node subset: the pruned
+    MST of the induced subgraph with demand-law flows, or None when that
+    subgraph is disconnected."""
+    selected = set(selected)
+    required = {inst.source} | set(inst.terminals)
+    if not required <= selected:
+        raise ValueError("selected nodes must include the source and all terminals")
+    n = inst.graph.node_count
+    mask = np.zeros(n, dtype=bool)
+    # ids outside the graph stay in the count, so such a subset is infeasible
+    mask[[x for x in selected if 0 <= x < n]] = True
+    _, flows = _SubsetDecoder(inst).decode_mask(mask, len(selected))
+    return None if flows is None else make_solution(inst, flows, "decode")
 
 
 def stray_component_instance():
@@ -116,3 +148,33 @@ def generator_golden_instance(spec: dict):
     if spec["regular_degree"] is None:
         return generate_instance(cfg)
     return generate_regular_instance(cfg, spec["regular_degree"])
+
+
+def tie_golden_instance(spec: dict):
+    """Instance named by an ``ost`` tie golden-table entry.
+
+    The spec holds the ``GenConfig`` fields; a ``regular_degree`` that is
+    not null asks for :func:`generate_regular_instance`. ``weights``
+    rewrites every edge weight to make ties likely: ``"round1"`` and
+    ``"round2"`` round to that many decimals, ``"zero"`` rounds to one
+    decimal and then sets about 40% of the weights to 0, ``"unit"`` sets
+    all of them to 1.
+    """
+    keys = ("node_count", "avg_degree", "terminal_count", "seed")
+    cfg = GenConfig(**{k: spec[k] for k in keys})
+    if spec["regular_degree"] is None:
+        inst = generate_instance(cfg)
+    else:
+        inst = generate_regular_instance(cfg, spec["regular_degree"])
+    weights = [w for _, _, w in inst.graph.edges]
+    rule = spec["weights"]
+    if rule == "unit":
+        weights = [1.0] * len(weights)
+    elif rule == "zero":
+        zero = np.random.default_rng(spec["seed"]).random(len(weights)) < 0.4
+        weights = [0.0 if z else round(w, 1) for w, z in zip(weights, zero.tolist())]
+    else:
+        digits = {"round1": 1, "round2": 2}[rule]
+        weights = [round(w, digits) for w in weights]
+    edges = tuple((u, v, w) for (u, v, _), w in zip(inst.graph.edges, weights))
+    return replace(inst, graph=Graph(inst.graph.node_count, edges))

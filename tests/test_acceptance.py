@@ -34,7 +34,7 @@ from ostflow import (
     summarize,
 )
 
-from helpers import W1_OPT_FLOWS, child_env, close, flows_close
+from helpers import W1_OPT_FLOWS, child_env, close, flows_close, with_demands
 
 TOL = 1e-9
 
@@ -176,7 +176,7 @@ def test_criterion_3_degenerations():
             )
         )
         steiner = brute_force_optimum(
-            inst.with_demands({t: 1.0 for t in inst.terminals})
+            with_demands(inst, {t: 1.0 for t in inst.terminals})
         ).cost
         worst_homog = max(worst_homog, abs(solve_ost(inst).cost - level * steiner))
     ok = worst_sp <= TOL and worst_homog <= TOL
@@ -289,7 +289,7 @@ def test_criterion_8_property_suite():
         base = solve_ost(inst)
         lam = float(rng.choice((0.25, 0.5, 2.0, 4.0)))
         scaled = solve_ost(
-            inst.with_demands({t: d * lam for t, d in inst.terminals.items()})
+            with_demands(inst, {t: d * lam for t, d in inst.terminals.items()})
         )
         if scaled.cost != base.cost * lam or set(scaled.flows) != set(base.flows):
             failures.append(("scale", trial))
@@ -299,7 +299,7 @@ def test_criterion_8_property_suite():
         target = sorted(inst.terminals)[int(rng.integers(0, inst.terminal_count))]
         bumped = dict(inst.terminals)
         bumped[target] *= 1.0 + float(rng.random())
-        if solve_ost(inst.with_demands(bumped)).cost < base - TOL:
+        if solve_ost(with_demands(inst, bumped)).cost < base - TOL:
             failures.append(("demand-monotone", trial))
     for trial in range(100):
         inst = _random_small_instance(rng)

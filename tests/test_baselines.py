@@ -17,12 +17,12 @@ from ostflow import (
     solve_ost,
     solve_sp_union,
 )
-from ostflow.baselines import decode_node_subset
 
 from helpers import (
     BASELINES,
     W1_OPT_FLOWS,
     close,
+    decode_node_subset,
     flows_close,
     golden_instance,
     solution_fingerprint,

@@ -17,6 +17,8 @@ from scipy.sparse import coo_matrix  # noqa: E402
 
 from ostflow import GenConfig, generate_instance, solve_ost  # noqa: E402
 
+from helpers import slow  # noqa: E402
+
 
 def milp_optimum(inst) -> float:
     """Least sum of weight x flow over per-terminal source paths."""
@@ -77,6 +79,8 @@ MILP_CASES = [
     (35, 3.5, 6, 7),
     (40, 4.0, 6, 8),
     (25, 5.0, 5, 9),
+    # about 12 s each: the slow tier
+    *(pytest.param(60, 4.0, 8, seed, marks=slow) for seed in (1, 2, 3)),
 ]
 
 

@@ -45,8 +45,7 @@ def test_dir_covers_public_names():
 
 @pytest.mark.parametrize(
     "name",
-    ["DpTable", "dp_grow", "dp_init", "dp_merge", "reconstruct", "decode_node_subset",
-     "total_cost"],
+    ["DpTable", "dp_grow", "dp_init", "dp_merge", "reconstruct", "total_cost"],
 )
 def test_root_does_not_export_module_internals(name):
     assert name not in ostflow.__all__

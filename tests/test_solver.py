@@ -2,6 +2,9 @@ import hashlib
 import heapq
 import json
 import math
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,13 +27,25 @@ from ostflow import (
 import ostflow.solver
 from ostflow.solver import EXTEND, LEAF, MERGE, UNSET, dp_grow, dp_init, dp_merge, reconstruct
 
-from helpers import W1_OPT_COST, W1_OPT_FLOWS, close, flows_close, oversized_instance
+from helpers import (
+    W1_OPT_COST,
+    W1_OPT_FLOWS,
+    child_env,
+    close,
+    flows_close,
+    oversized_instance,
+    slow,
+    solution_fingerprint,
+    tie_golden_instance,
+    with_demands,
+)
 
 D1 = 0b01  # terminal node 2 (demand 0.25), lower node id -> bit 0
 D2 = 0b10  # terminal node 3 (demand 1.0)
 FULL = 0b11
 
 GOLDEN = Path(__file__).parent / "data" / "ost_golden.json"
+TIE_GOLDEN = Path(__file__).parent / "data" / "ost_tie_golden.json"
 
 
 def test_dp_init_boundaries(w1):
@@ -119,7 +134,7 @@ def test_solve_ost_w1(w1):
 
 
 def test_solve_ost_w1_homogeneous(w1):
-    sol = solve_ost(w1.with_demands({2: 1.0, 3: 1.0}))
+    sol = solve_ost(with_demands(w1, {2: 1.0, 3: 1.0}))
     assert close(sol.cost, 0.5)
     assert flows_close(sol.flows, {(0, 3): 1.0, (3, 1): 1.0, (1, 2): 1.0})
 
@@ -264,7 +279,9 @@ def test_grow_matches_best_first_records(n, degree, k, seed, integer_weights):
     _assert_same_tables(_filled(inst, per_subset=False), reference)
 
 
-@pytest.mark.parametrize("n, degree, k, seed", BATCH_CASES)
+# the last case has more nodes than CHUNK_ELEMENTS, and so more arcs: even
+# at the default budget one grow row and one merge split row exceed it
+@pytest.mark.parametrize("n, degree, k, seed", BATCH_CASES + [(66000, 2.2, 3, 1)])
 def test_tables_do_not_depend_on_chunk_size(n, degree, k, seed, monkeypatch):
     inst = generate_instance(
         GenConfig(node_count=n, avg_degree=degree, terminal_count=k, seed=seed)
@@ -273,6 +290,50 @@ def test_tables_do_not_depend_on_chunk_size(n, degree, k, seed, monkeypatch):
     # one subset (and one split) per chunk
     monkeypatch.setattr(ostflow.solver, "CHUNK_ELEMENTS", 1)
     _assert_same_tables(whole, _filled(inst, per_subset=False))
+
+
+def test_workspace_bounds_solve_memory():
+    # exact-wide shape: the table, the workspace (max(CHUNK_ELEMENTS, one
+    # row) elements per buffer) and little else; no chunk adds to the peak
+    inst = generate_instance(GenConfig(node_count=1000, avg_degree=4, terminal_count=4, seed=2))
+    table_bytes = (1 << 4) * 1000 * ostflow.solver.STATE_BYTES
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solve_ost(inst)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= table_bytes + 9 * ostflow.solver.CHUNK_ELEMENTS * 8, peak
+
+
+FAULT_PROBE = """
+import resource
+from ostflow import GenConfig, generate_instance, solve_ost
+insts = [generate_instance(GenConfig(node_count=1000, avg_degree=4.0, terminal_count=4, seed=s))
+         for s in range(4)]
+solve_ost(insts[0])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for inst in insts[1:]:
+    solve_ost(inst)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="minor page faults as Linux counts them")
+def test_solves_reuse_their_memory_instead_of_faulting_pages():
+    # a fresh process, so the allocator starts clean; after one warm-up
+    # solve, three n=1000, K=4 solves took about 5,200 minor faults when
+    # every chunk temporary was allocated afresh, and about 380 with one
+    # workspace per solve
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource.getrusage(resource.RUSAGE_SELF), "ru_minflt"):
+        pytest.skip("getrusage reports no minor faults here")
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULT_PROBE], capture_output=True, text=True,
+        env=child_env(), check=True,
+    )
+    assert int(proc.stdout) <= 1200, proc.stdout
 
 
 def test_reconstruction_matches_table_cost():
@@ -317,6 +378,28 @@ def test_ost_documents_match_golden_corpus():
         assert hashlib.sha256(doc.encode()).hexdigest() == row["sha256"], row
 
 
+def test_ost_documents_match_tie_golden_corpus():
+    # rounded, zero and unit weights make equal-cost alternatives common,
+    # so this pins the tie-breaking of merge and of grow's decision pass
+    rows = json.loads(TIE_GOLDEN.read_text())
+    assert len(rows) == 184
+    for row in rows:
+        assert solution_fingerprint(solve_ost(tie_golden_instance(row["instance"]))) == {
+            "cost": row["cost"], "sha256": row["sha256"]
+        }, row["instance"]
+
+
+@slow
+def test_ost_document_at_k16_matches_recorded_hash():
+    # merge's one-subset, split-chunked path at its largest layers; recorded
+    # with solution_fingerprint before merge and grow wrote into a workspace
+    inst = generate_instance(GenConfig(node_count=100, avg_degree=4.0, terminal_count=16, seed=1))
+    assert solution_fingerprint(solve_ost(inst)) == {
+        "cost": "4.848253578820061",
+        "sha256": "0edc768563299def91545dc734adb9f0468a4c586ea44ea1cd64faa47229efad",
+    }
+
+
 def _zero_heavy_instance(seed: int) -> Instance:
     """Desk-size instance with about 40% of its edge weights set to 0."""
     rng = np.random.default_rng(seed)
@@ -351,6 +434,6 @@ def test_demand_scale_equivariance_power_of_two():
     inst = generate_instance(GenConfig(node_count=15, avg_degree=3, terminal_count=4, seed=8))
     base = solve_ost(inst)
     for lam in (0.5, 2.0, 4.0):
-        scaled = solve_ost(inst.with_demands({t: d * lam for t, d in inst.terminals.items()}))
+        scaled = solve_ost(with_demands(inst, {t: d * lam for t, d in inst.terminals.items()}))
         assert scaled.cost == base.cost * lam
         assert set(scaled.flows) == set(base.flows)
