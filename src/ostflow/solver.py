@@ -54,8 +54,9 @@ STATE_BYTES = 13
 # processed in chunks of subsets (and of splits) that stay within it, down
 # to one subset (and one split) per chunk on graphs too large for that.
 # Blocks of 2^16 float64 (512 KiB) ran faster than 2^20 at K=12-14. The
-# temporaries are views of one per-solve Workspace of this many elements
-# per buffer (more where one row alone is larger), allocated by dp_init.
+# temporaries are views of one per-solve Workspace, allocated by dp_init,
+# whose buffers hold the largest chunk of the solve: at most this many
+# elements, unless one row alone is larger.
 CHUNK_ELEMENTS = 1 << 16
 
 
@@ -64,25 +65,46 @@ class Workspace:
 
     Allocating them once per solve, rather than each chunk temporary
     afresh, spares a solve the allocator's mmap/munmap and first-touch
-    page faults on every chunk. Each buffer holds max(``budget``, one
-    row) elements, where ``budget`` is CHUNK_ELEMENTS when the table was
-    made and one row is one subset's arcs or nodes. At the default budget
-    the whole is 3.75 MiB: under the 4 MiB from which numpy asks for huge
-    pages, which would add to the resident set in 2 MiB steps.
+    page faults on every chunk. Each buffer holds ``budget`` elements:
+    the largest chunk the solve takes, so that a small solve does not pay
+    for the whole CHUNK_ELEMENTS. Each is also its own allocation, no
+    larger than a chunk temporary: freeing one block as large as all of
+    them would raise the allocator's mmap threshold for the whole process,
+    which kept about 2 MiB more resident in a bench cell's baselines.
     """
 
-    def __init__(self, budget: int, row: int):
+    def __init__(self, budget: int):
         self.budget = budget
-        size = max(budget, row)
-        # one allocation: once freed, the next solve can get it back whole
-        # from the allocator instead of as fresh pages
-        layout = [(4, np.dtype(np.float64)), (3, np.dtype(np.intp)), (4, np.dtype(bool))]
-        ends = np.cumsum([count * size * d.itemsize for count, d in layout])
-        parts = np.split(np.empty(ends[-1], dtype=np.uint8), ends[:-1])
-        # (4, size) float64, (3, size) intp and (4, size) bool
-        self.real, self.index, self.flag = (
-            p.view(d).reshape(count, size) for p, (count, d) in zip(parts, layout)
-        )
+        self.real = [np.empty(budget, dtype=np.float64) for _ in range(4)]
+        self.index = [np.empty(budget, dtype=np.intp) for _ in range(3)]
+        self.flag = [np.empty(budget, dtype=bool) for _ in range(4)]
+
+
+def _merge_block(budget: int, splits: int, n: int) -> tuple[int, int]:
+    """(subsets, splits) per merge chunk within ``budget`` elements, at least one each."""
+    rows = max(1, budget // (splits * n))
+    return rows, max(1, budget // (rows * n))
+
+
+def _grow_block(budget: int, row: int) -> int:
+    """Subsets per grow chunk within ``budget`` elements, at least one."""
+    return max(1, budget // row)
+
+
+def _solve_budget(k: int, n: int, arcs: int) -> int:
+    """Elements in the largest chunk that the layers of a solve take under
+    CHUNK_ELEMENTS, and at least one grow row. Where that is at most
+    CHUNK_ELEMENTS, chunking to it gives every layer the same chunks."""
+    row = max(n, arcs)
+    budget = row
+    for p in range(1, k + 1):
+        layer = math.comb(k, p)
+        budget = max(budget, min(layer, _grow_block(CHUNK_ELEMENTS, row)) * row)
+        if p > 1:
+            splits = (1 << (p - 1)) - 1
+            rows, cols = _merge_block(CHUNK_ELEMENTS, splits, n)
+            budget = max(budget, min(layer, rows) * min(splits, cols) * n)
+    return budget
 
 
 @dataclass
@@ -143,21 +165,18 @@ def dp_init(inst: Instance) -> DpTable:
     for mask in range(1, 1 << k):
         low = mask & -mask
         xmax[mask] = max(xmax[mask ^ low], demands[low.bit_length() - 1])
-    edges = np.fromiter(chain.from_iterable(inst.graph.edges), np.float64).reshape(-1, 3)
-    # before the table, so that each solve's workspace can take the block
-    # the last one freed
-    workspace = Workspace(CHUNK_ELEMENTS, max(m, 2 * len(edges)))
     cost = np.full((1 << k, m), math.inf)
     kind = np.zeros((1 << k, m), dtype=np.int8)
     arg = np.zeros((1 << k, m), dtype=np.int32)
     for t, i in terminal_index.items():
         cost[1 << i, t] = 0.0
         kind[1 << i, t] = LEAF
+    edges = np.fromiter(chain.from_iterable(inst.graph.edges), np.float64).reshape(-1, 3)
     u, v = edges[:, 0].astype(np.intp), edges[:, 1].astype(np.intp)
     arcs = (np.concatenate([u, v]), np.concatenate([v, u]), np.tile(edges[:, 2], 2))
     return DpTable(
         terminal_index=terminal_index, xmax=xmax, cost=cost, kind=kind, arg=arg, arcs=arcs,
-        workspace=workspace,
+        workspace=Workspace(_solve_budget(k, m, 2 * len(edges))),
     )
 
 
@@ -188,8 +207,7 @@ def dp_merge(table: DpTable, subsets) -> None:
     splits = (1 << positions) @ ((r[:, None] >> np.arange(p)) & 1).T  # (L, splits)
     cost, kind, arg, ws = table.cost, table.kind, table.arg, table.workspace
     n = cost.shape[1]
-    rows = max(1, ws.budget // (splits.shape[1] * n))
-    cols = max(1, ws.budget // (rows * n))
+    rows, cols = _merge_block(ws.budget, splits.shape[1], n)
     for i in range(0, len(subsets), rows):
         chunk = subsets[i:i + rows]
         for j in range(0, splits.shape[1], cols):
@@ -237,7 +255,7 @@ def dp_grow(table: DpTable, subsets) -> None:
     if not (subsets.size and table.arcs[0].size):
         return
     xmax = np.asarray(table.xmax)
-    rows = max(1, table.workspace.budget // max(table.arcs[0].size, table.cost.shape[1]))
+    rows = _grow_block(table.workspace.budget, max(table.arcs[0].size, table.cost.shape[1]))
     for i in range(0, len(subsets), rows):
         chunk = subsets[i:i + rows]
         _grow_chunk(table, chunk, xmax[chunk])
@@ -280,7 +298,9 @@ def _grow_chunk(table: DpTable, subsets: np.ndarray, xmax: np.ndarray) -> None:
     ws = table.workspace
     c, n, e = len(subsets), table.cost.shape[1], src.size
     small = ws.index[2].view(np.int32)  # int32 scratch, two (c, n) or (c, e) arrays long
-    value = _take(table.cost, subsets, ws.real[0], (c, n))
+    # real[3], which merge leaves untouched: the (c, e) arrays below then
+    # reuse pages that merge has touched instead of adding to them
+    value = _take(table.cost, subsets, ws.real[3], (c, n))
     # sweep of each node's last change, then the recorded predecessors
     sweep_of, pred = _view(ws.index[0].view(np.int32), (2, c, n))
     sweep_of.fill(0)
@@ -298,16 +318,11 @@ def _grow_chunk(table: DpTable, subsets: np.ndarray, xmax: np.ndarray) -> None:
         np.add(candidates, step, out=candidates)
         reached = _row_min(_view(ws.real[2], (rows.size, n)), math.inf, tails, dst[arcs],
                            candidates)
-        if rows.size == c:
-            better = np.less(reached, value, out=_view(ws.flag[0], reached.shape))
-            np.copyto(value, reached, where=better)
-            np.copyto(sweep_of, sweep, where=better)
-        else:
-            current = _take(value, rows, ws.real[1], reached.shape)
-            better = np.less(reached, current, out=_view(ws.flag[0], reached.shape))
-            np.copyto(current, reached, where=better)
-            value[rows] = current
-            _put_rows(sweep_of, rows, sweep, better, small)
+        current = _take(value, rows, ws.real[1], reached.shape)
+        better = np.less(reached, current, out=_view(ws.flag[0], reached.shape))
+        np.copyto(current, reached, where=better)
+        value[rows] = current
+        _put_rows(sweep_of, rows, sweep, better, small)
         moved = better.any(axis=0)
         rows = rows[better.any(axis=1)]
 
@@ -319,7 +334,7 @@ def _grow_chunk(table: DpTable, subsets: np.ndarray, xmax: np.ndarray) -> None:
     tail = _take(value, src, ws.real[1], (c, e), axis=1)
     arrival = np.multiply(xmax[:, None], weight, out=_view(ws.real[2], (c, e)))
     np.add(tail, arrival, out=arrival)
-    head = _take(value, dst, ws.real[3], (c, e), axis=1)
+    head = _take(value, dst, ws.real[0], (c, e), axis=1)
     reaches = np.equal(arrival, head, out=_view(ws.flag[1], (c, e)))
     # the least value among neighbours that reach a node's value: below the
     # node's own value unless only equal-valued neighbours reach it
@@ -328,7 +343,7 @@ def _grow_chunk(table: DpTable, subsets: np.ndarray, xmax: np.ndarray) -> None:
     np.copyto(key, tail, where=reaches)
     index = _view(ws.index[1], (c, e))
     lowest = _row_min(_view(ws.real[1], (c, n)), math.inf, index, dst, key)
-    lowest_at_head = _take(lowest, dst, ws.real[3], (c, e), axis=1)
+    lowest_at_head = _take(lowest, dst, ws.real[0], (c, e), axis=1)
     choice = np.equal(key, lowest_at_head, out=_view(ws.flag[2], (c, e)))
     candidates = _view(small, (c, e))
     candidates.fill(n)
