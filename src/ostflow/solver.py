@@ -15,11 +15,10 @@ so all subsets of one population count form an antichain: the table is
 filled one popcount layer at a time, merging the whole layer in one
 vectorised step and growing it with a Bellman-Ford that relaxes, sweep
 after sweep, only the arcs leaving nodes whose value just changed. Its
-fixed point, and with positive edge weights its decision records, are
-those of a best-first (Dijkstra) pass per subset seeded with every finite
-entry. Both steps work in chunks of CHUNK_ELEMENTS elements, and every
-(subset, split, node), (subset, arc) and (subset, node) temporary is a
-view of one per-solve Workspace that dp_init allocates.
+fixed point is that of a best-first (Dijkstra) pass per subset seeded
+with every finite entry. Both steps work in chunks of CHUNK_ELEMENTS
+elements, and every (subset, split, node), (subset, arc) and (subset,
+node) temporary is a view of one per-solve Workspace that dp_init allocates.
 
 The optimum for the full terminal set at the source is exact. Each table
 value is at least the cost of the feasible network its decisions
@@ -28,9 +27,10 @@ H(source, full set) is never below the optimum. An optimal network is a
 tree rooted at the source: at each of its nodes the branches towards
 disjoint terminal sets share no edge, and each edge carries the maximum
 demand of the terminals below it, so by induction over subsets the
-recurrence reaches that tree's cost. Flows are reconstructed from
-per-state decision records (an edge met twice keeps the larger flow)
-instead of storing per-state edge sets.
+recurrence reaches that tree's cost. The table stores values, not
+decisions: ``reconstruct`` derives the split or predecessor of only the
+states on the optimum's path, as a best-first pass would record it (an
+edge met twice keeps the larger flow).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import numpy as np
 
 from .model import FlowSolution, Instance, InstanceError, make_solution, require_feasible
 
-# Decision codes: how cost[S, v] was last improved.
+# Kinds of state: how cost[S, v] was last improved.
 UNSET, LEAF, MERGE, EXTEND = 0, 1, 2, 3
 
 # Bytes per (subset, node) state: float64 cost, int8 kind, int32 arg.
@@ -54,30 +54,29 @@ STATE_BYTES = 13
 # processed in chunks of subsets (and of splits) that stay within it, down
 # to one subset (and one split) per chunk on graphs too large for that.
 # Blocks of 2^16 float64 (512 KiB) ran faster than 2^20 at K=12-14. The
-# temporaries are views of one per-solve Workspace, allocated by dp_init,
-# whose buffers hold the largest chunk of the solve: at most this many
-# elements, unless one row alone is larger.
+# temporaries are views of one per-solve Workspace, allocated by dp_init.
 CHUNK_ELEMENTS = 1 << 16
 
 
 class Workspace:
     """Flat buffers that every merge and grow chunk of one solve writes into.
 
-    Allocating them once per solve, rather than each chunk temporary
-    afresh, spares a solve the allocator's mmap/munmap and first-touch
-    page faults on every chunk. Each buffer holds ``budget`` elements:
-    the largest chunk the solve takes, so that a small solve does not pay
-    for the whole CHUNK_ELEMENTS. Each is also its own allocation, no
+    Allocating them once per solve spares each chunk the allocator's
+    mmap/munmap and first-touch page faults. Each is its own allocation, no
     larger than a chunk temporary: freeing one block as large as all of
-    them would raise the allocator's mmap threshold for the whole process,
-    which kept about 2 MiB more resident in a bench cell's baselines.
+    them would raise the allocator's mmap threshold for the whole process
+    (about 2 MiB more resident in a bench cell). ``real`` buffers are
+    float64; a step that needs integers views one as intp or int32. The
+    first two hold ``budget`` elements, the solve's largest chunk: merge's
+    two (subset, split, node) arrays, then grow's two (subset, arc) arrays
+    on the same pages. The rest hold ``rows``, the largest (subset, node)
+    or (subset, split) array of a chunk.
     """
 
-    def __init__(self, budget: int):
+    def __init__(self, budget: int, rows: int):
         self.budget = budget
-        self.real = [np.empty(budget, dtype=np.float64) for _ in range(4)]
-        self.index = [np.empty(budget, dtype=np.intp) for _ in range(3)]
-        self.flag = [np.empty(budget, dtype=bool) for _ in range(4)]
+        self.real = [np.empty(size) for size in (budget, budget, rows, rows, rows)]
+        self.flag = [np.empty(rows, dtype=bool) for _ in range(2)]
 
 
 def _merge_block(budget: int, splits: int, n: int) -> tuple[int, int]:
@@ -91,20 +90,25 @@ def _grow_block(budget: int, row: int) -> int:
     return max(1, budget // row)
 
 
-def _solve_budget(k: int, n: int, arcs: int) -> int:
-    """Elements in the largest chunk that the layers of a solve take under
-    CHUNK_ELEMENTS, and at least one grow row. Where that is at most
-    CHUNK_ELEMENTS, chunking to it gives every layer the same chunks."""
+def _solve_budget(k: int, n: int, arcs: int) -> tuple[int, int]:
+    """Workspace sizes (budget, rows): the largest chunk the layers take
+    under CHUNK_ELEMENTS, and at least one grow row; then those chunks'
+    largest (subset, node) or (subset, split) array. Where budget is at
+    most CHUNK_ELEMENTS, chunking to it gives every layer the same chunks;
+    where one row is larger the chunks differ, and rows is budget."""
     row = max(n, arcs)
-    budget = row
+    budget, rows = row, n
     for p in range(1, k + 1):
         layer = math.comb(k, p)
-        budget = max(budget, min(layer, _grow_block(CHUNK_ELEMENTS, row)) * row)
+        subsets = min(layer, _grow_block(CHUNK_ELEMENTS, row))
+        budget, rows = max(budget, subsets * row), max(rows, subsets * n)
         if p > 1:
             splits = (1 << (p - 1)) - 1
-            rows, cols = _merge_block(CHUNK_ELEMENTS, splits, n)
-            budget = max(budget, min(layer, rows) * min(splits, cols) * n)
-    return budget
+            subsets, cols = _merge_block(CHUNK_ELEMENTS, splits, n)
+            subsets, cols = min(layer, subsets), min(splits, cols)
+            budget = max(budget, subsets * cols * n)
+            rows = max(rows, subsets * n, subsets * cols)
+    return budget, rows if budget <= CHUNK_ELEMENTS else budget
 
 
 @dataclass
@@ -112,9 +116,10 @@ class DpTable:
     """Dense DP state over (terminal-subset, node) pairs, one row per subset.
 
     Subsets are bitmasks; bit i stands for the i-th terminal in ascending
-    node-id order (``terminal_index`` maps node id -> bit). ``kind`` and
-    ``arg`` together encode the reconstruction decision per state: a MERGE
-    stores the chosen submask, an EXTEND stores the neighbor extended to.
+    node-id order (``terminal_index`` maps node id -> bit). ``kind`` says
+    which step last lowered a state; ``arg`` holds the grow sweep in which
+    an EXTEND state last changed (0 elsewhere). The split or neighbour a
+    state came from is not stored: ``decision`` derives it from ``cost``.
     ``cost`` holds the additive recurrence's values: a MERGE state costs
     the sum of its two halves, which is exact at (source, full set).
     ``arcs`` lists both directions of every edge as (src, dst, weight).
@@ -125,7 +130,7 @@ class DpTable:
     xmax: list[float]   # per-subset max demand; xmax[0] = 0.0
     cost: np.ndarray    # (2^K, M) float64, +inf where unreached
     kind: np.ndarray    # (2^K, M) int8
-    arg: np.ndarray     # (2^K, M) int32
+    arg: np.ndarray     # (2^K, M) int32, grow sweep of EXTEND states
     arcs: tuple[np.ndarray, np.ndarray, np.ndarray]
     workspace: Workspace
 
@@ -176,20 +181,35 @@ def dp_init(inst: Instance) -> DpTable:
     arcs = (np.concatenate([u, v]), np.concatenate([v, u]), np.tile(edges[:, 2], 2))
     return DpTable(
         terminal_index=terminal_index, xmax=xmax, cost=cost, kind=kind, arg=arg, arcs=arcs,
-        workspace=Workspace(_solve_budget(k, m, 2 * len(edges))),
+        workspace=Workspace(*_solve_budget(k, m, 2 * len(edges))),
     )
+
+
+def _halves(subsets: np.ndarray, start: int, stop: int,
+            buffer: np.ndarray | None = None) -> np.ndarray:
+    """Half F of splits start..stop-1 of each subset, a (subsets, stop - start)
+    int64 array, written into ``buffer`` when one is given.
+
+    The subsets share one popcount p and have the 2^(p-1) - 1 splits
+    {F, S - F} whose half F holds the subset's lowest bit: split j places
+    the bits of r = 2j + 1 at the subset's bit positions, so ascending j
+    gives ascending F.
+    """
+    p = int(subsets[0]).bit_count()
+    bits = (subsets[:, None] >> np.arange(int(subsets.max()).bit_length())) & 1
+    places = 1 << np.nonzero(bits)[1].reshape(-1, p)  # (subsets, p) bit values
+    r = np.arange(2 * start + 1, 2 * stop, 2)
+    pattern = (r >> np.arange(p)[:, None]) & 1  # (p, splits)
+    out = None if buffer is None else _view(buffer, (len(subsets), r.size))
+    return np.matmul(places, pattern, out=out)
 
 
 def dp_merge(table: DpTable, subsets) -> None:
     """Merge phase for subsets of one popcount: the cheapest split at every node.
 
-    A split {F, S - F} costs cost[F, v] + cost[S - F, v] at node v. Every
-    subset of popcount p has the 2^(p-1) - 1 splits whose half F holds its
-    lowest bit: F places the bits of an odd r < 2^p - 1 at the subset's
-    bit positions, so ascending r gives ascending F. ``argmin`` picks the
-    first minimum, and a node takes it only on strict improvement, so
-    tie-breaking is deterministic and independent of how the work is
-    chunked.
+    A split {F, S - F} costs cost[F, v] + cost[S - F, v] at node v (see
+    ``_halves`` for the splits of a subset). A node takes the least of them,
+    and records MERGE, only where that is strictly below its value.
 
     ``subsets`` is a 1-d sequence of masks of one popcount whose proper
     subsets are final; candidates are costed in chunks of at most the
@@ -200,37 +220,25 @@ def dp_merge(table: DpTable, subsets) -> None:
     p = int(subsets[0]).bit_count() if subsets.size else 0
     if p < 2:
         return
-    k = len(table.terminal_index)
-    bits = (subsets[:, None] >> np.arange(k)) & 1
-    positions = np.nonzero(bits)[1].reshape(-1, p)
-    r = np.arange(1, (1 << p) - 1, 2)
-    splits = (1 << positions) @ ((r[:, None] >> np.arange(p)) & 1).T  # (L, splits)
-    cost, kind, arg, ws = table.cost, table.kind, table.arg, table.workspace
+    cost, kind, ws = table.cost, table.kind, table.workspace
     n = cost.shape[1]
-    rows, cols = _merge_block(ws.budget, splits.shape[1], n)
+    splits = (1 << (p - 1)) - 1
+    rows, cols = _merge_block(ws.budget, splits, n)
     for i in range(0, len(subsets), rows):
         chunk = subsets[i:i + rows]
-        for j in range(0, splits.shape[1], cols):
-            halves = splits[i:i + rows, j:j + cols]
+        for j in range(0, splits, cols):
+            halves = _halves(chunk, j, min(j + cols, splits), ws.real[2].view(np.intp))
             shape = (len(chunk), halves.shape[1], n)
             candidates = _take(cost, halves, ws.real[0], shape)
-            np.add(candidates, _take(cost, chunk[:, None] ^ halves, ws.real[1], shape),
-                   out=candidates)
-            # split axis last, as argmin would copy it, but into the workspace
-            by_node = _view(ws.real[1], (shape[0], n, shape[1]))
-            np.copyto(by_node.transpose(0, 2, 1), candidates)
-            best = np.argmin(by_node, axis=2, out=_view(ws.index[0], shape[::2]))
-            values = np.minimum.reduce(by_node, axis=2, out=_view(ws.real[0], shape[::2]))
-            here = _take(cost, chunk, ws.real[2], shape[::2])
+            others = np.bitwise_xor(halves, chunk[:, None], out=halves)
+            np.add(candidates, _take(cost, others, ws.real[1], shape), out=candidates)
+            values = np.minimum.reduce(candidates, axis=1, out=_view(ws.real[1], shape[::2]))
+            here = _take(cost, chunk, ws.real[0], shape[::2])
             better = np.less(values, here, out=_view(ws.flag[0], shape[::2]))
-            if not better.any():
-                continue
-            np.add(best, (np.arange(shape[0]) * shape[1])[:, None], out=best)
-            chosen = _take(halves, best, ws.index[1], best.shape, axis=None)
-            np.copyto(here, values, where=better)
-            cost[chunk] = here
-            _put_rows(kind, chunk, MERGE, better, ws.flag[1].view(np.int8))
-            _put_rows(arg, chunk, chosen, better, ws.index[0].view(np.int32))
+            if better.any():
+                np.copyto(here, values, where=better)
+                cost[chunk] = here
+                _put_rows(kind, chunk, MERGE, better, ws.flag[1].view(np.int8))
 
 
 def dp_grow(table: DpTable, subsets) -> None:
@@ -241,11 +249,7 @@ def dp_grow(table: DpTable, subsets) -> None:
     only the arcs leaving nodes that changed in the sweep before. The
     values are the same float sums a best-first pass seeded with every
     finite entry computes. A node whose value fell below its seed records
-    EXTEND to the predecessor that pass settles first: the least
-    (value, node id) among neighbours that reach the value from strictly
-    below. Where only equal-valued neighbours reach it (zero weights), the
-    predecessor is the least node id among those that reached their final
-    value in an earlier sweep, so records never form a cycle.
+    EXTEND, and in ``arg`` the sweep in which it last changed.
 
     ``subsets`` is a 1-d sequence of masks whose rows are merged; rows are
     grown in chunks of at most the table's chunk budget of (subset, arc)
@@ -262,8 +266,8 @@ def dp_grow(table: DpTable, subsets) -> None:
 
 
 def _view(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The leading elements of a flat workspace buffer, as an array of ``shape``."""
-    return buffer[:math.prod(shape)].reshape(shape)
+    """The leading elements of a contiguous workspace buffer, as an array of ``shape``."""
+    return buffer.reshape(-1)[:math.prod(shape)].reshape(shape)
 
 
 def _take(array: np.ndarray, indices: np.ndarray, buffer: np.ndarray,
@@ -282,27 +286,14 @@ def _put_rows(array: np.ndarray, rows: np.ndarray, new, where: np.ndarray,
     array[rows] = old
 
 
-def _row_min(out: np.ndarray, fill, index: np.ndarray, heads: np.ndarray,
-             values: np.ndarray) -> np.ndarray:
-    """Per row of ``out``, the least of ``values`` landing on each node (``fill``
-    if none); ``index`` is a buffer of ``values``' shape."""
-    out.fill(fill)
-    np.add((np.arange(out.shape[0]) * out.shape[1])[:, None], heads, out=index)
-    np.minimum.at(out.reshape(-1), index.reshape(-1), values.reshape(-1))
-    return out
-
-
 def _grow_chunk(table: DpTable, subsets: np.ndarray, xmax: np.ndarray) -> None:
     """Bellman-Ford over the rows of ``subsets``; an arc costs xmax(S) * w in row S."""
     src, dst, weight = table.arcs
     ws = table.workspace
-    c, n, e = len(subsets), table.cost.shape[1], src.size
-    small = ws.index[2].view(np.int32)  # int32 scratch, two (c, n) or (c, e) arrays long
-    # real[3], which merge leaves untouched: the (c, e) arrays below then
-    # reuse pages that merge has touched instead of adding to them
-    value = _take(table.cost, subsets, ws.real[3], (c, n))
-    # sweep of each node's last change, then the recorded predecessors
-    sweep_of, pred = _view(ws.index[0].view(np.int32), (2, c, n))
+    c, n = len(subsets), table.cost.shape[1]
+    value = _take(table.cost, subsets, ws.real[2], (c, n))
+    # sweep of each node's last change, and scratch for writing it
+    sweep_of, scratch = _view(ws.real[4].view(np.int32), (2, c, n))
     sweep_of.fill(0)
     rows = np.arange(c)
     moved = np.isfinite(value, out=_view(ws.flag[0], (c, n))).any(axis=0)
@@ -311,88 +302,93 @@ def _grow_chunk(table: DpTable, subsets: np.ndarray, xmax: np.ndarray) -> None:
         sweep += 1
         arcs = np.flatnonzero(moved[src])
         shape = (rows.size, arcs.size)
-        tails = _view(ws.index[1], shape)
-        np.add((rows * n)[:, None], src[arcs], out=tails)
-        candidates = _take(value, tails, ws.real[1], shape, axis=None)
-        step = np.multiply(xmax[rows][:, None], weight[arcs], out=_view(ws.real[2], shape))
+        current = _take(value, rows, ws.real[3], (rows.size, n))
+        candidates = _take(current, src[arcs], ws.real[0], shape, axis=1)
+        step = np.multiply(xmax[rows][:, None], weight[arcs], out=_view(ws.real[1], shape))
         np.add(candidates, step, out=candidates)
-        reached = _row_min(_view(ws.real[2], (rows.size, n)), math.inf, tails, dst[arcs],
-                           candidates)
-        current = _take(value, rows, ws.real[1], reached.shape)
-        better = np.less(reached, current, out=_view(ws.flag[0], reached.shape))
-        np.copyto(current, reached, where=better)
+        # each row's least arrival at each head, into the row itself
+        index = np.add((np.arange(rows.size) * n)[:, None], dst[arcs],
+                       out=_view(ws.real[1].view(np.intp), shape))
+        np.minimum.at(current.reshape(-1), index.reshape(-1), candidates.reshape(-1))
+        better = np.less(current, _take(value, rows, ws.real[0], current.shape),
+                         out=_view(ws.flag[0], current.shape))
         value[rows] = current
-        _put_rows(sweep_of, rows, sweep, better, small)
+        _put_rows(sweep_of, rows, sweep, better, scratch)
         moved = better.any(axis=0)
         rows = rows[better.any(axis=1)]
 
-    seed = _take(table.cost, subsets, ws.real[1], (c, n))
+    seed = _take(table.cost, subsets, ws.real[0], (c, n))
     improved = np.less(value, seed, out=_view(ws.flag[0], (c, n)))
     table.cost[subsets] = value
-    if not improved.any():
-        return
-    tail = _take(value, src, ws.real[1], (c, e), axis=1)
-    arrival = np.multiply(xmax[:, None], weight, out=_view(ws.real[2], (c, e)))
-    np.add(tail, arrival, out=arrival)
-    head = _take(value, dst, ws.real[0], (c, e), axis=1)
-    reaches = np.equal(arrival, head, out=_view(ws.flag[1], (c, e)))
-    # the least value among neighbours that reach a node's value: below the
-    # node's own value unless only equal-valued neighbours reach it
-    key = arrival
-    key.fill(math.inf)
-    np.copyto(key, tail, where=reaches)
-    index = _view(ws.index[1], (c, e))
-    lowest = _row_min(_view(ws.real[1], (c, n)), math.inf, index, dst, key)
-    lowest_at_head = _take(lowest, dst, ws.real[0], (c, e), axis=1)
-    choice = np.equal(key, lowest_at_head, out=_view(ws.flag[2], (c, e)))
-    candidates = _view(small, (c, e))
-    candidates.fill(n)
-    np.copyto(candidates, src, where=choice)
-    _row_min(pred, n, index, dst, candidates)
-    tied = np.equal(lowest, value, out=_view(ws.flag[2], (c, n)))
-    np.logical_and(tied, improved, out=tied)
-    if tied.any():
-        tail_sweep, head_sweep = _view(small, (2, c, e))
-        earlier = np.less(np.take(sweep_of, src, axis=1, out=tail_sweep, mode="clip"),
-                          np.take(sweep_of, dst, axis=1, out=head_sweep, mode="clip"),
-                          out=_view(ws.flag[3], (c, e)))
-        np.logical_and(earlier, reaches, out=earlier)
-        candidates.fill(n)
-        np.copyto(candidates, src, where=earlier)
-        # sweep_of is read; its buffer takes the tied predecessors
-        np.copyto(pred, _row_min(sweep_of, n, index, dst, candidates), where=tied)
-    _put_rows(table.kind, subsets, EXTEND, improved, ws.flag[1].view(np.int8))
-    _put_rows(table.arg, subsets, pred, improved, small)
+    if improved.any():
+        _put_rows(table.kind, subsets, EXTEND, improved, ws.flag[1].view(np.int8))
+        _put_rows(table.arg, subsets, sweep_of, improved, scratch)
+
+
+def decision(table: DpTable, node: int, subset: int) -> int:
+    """The half F of a MERGE state's split, or an EXTEND state's predecessor,
+    derived from the finished table.
+
+    MERGE: the first split in ``_halves`` order with cost[F, node] +
+    cost[subset - F, node] == cost[subset, node]; merge kept the first least
+    split, as its later splits replace a value only on strict improvement.
+    EXTEND: among the neighbours u that reach the state's value,
+    cost[subset, u] + xmax(subset) * w == cost[subset, node], the least
+    (value, node id) strictly below it. Where only equal-valued neighbours
+    reach it (zero weights), the least id among those that grow changed in
+    an earlier sweep (a node it did not improve counts as sweep 0). That is
+    the predecessor a best-first pass settles first, and each step lowers
+    (value, sweep), so the decisions never form a cycle.
+
+    Raises ValueError when no split or neighbour reproduces the value.
+    """
+    cost, kind = table.cost, table.kind
+    value = float(cost[subset, node])
+    if kind[subset, node] == MERGE:
+        halves = _halves(np.array([subset]), 0, (1 << (subset.bit_count() - 1)) - 1)[0]
+        found = np.flatnonzero(cost[halves, node] + cost[subset ^ halves, node] == value)
+        if found.size:
+            return int(halves[found[0]])
+    elif kind[subset, node] == EXTEND:
+        src, dst, weight = table.arcs
+        into = np.flatnonzero(dst == node)
+        tails, step = src[into], table.xmax[subset]
+        reaching = [(t, u) for t, u, w in zip(cost[subset][tails].tolist(), tails.tolist(),
+                                              weight[into].tolist())
+                    if t + step * w == value]
+        below = [pair for pair in reaching if pair[0] < value]
+        if below:
+            return min(below)[1]
+        sweeps = np.where(kind[subset] == EXTEND, table.arg[subset], 0)
+        earlier = [u for _, u in reaching if sweeps[u] < sweeps[node]]
+        if earlier:
+            return min(earlier)
+    raise ValueError(f"inconsistent table: no split or neighbour reproduces the cost at "
+                     f"(node {node}, subset {subset:#x})")
 
 
 def reconstruct(table: DpTable, inst: Instance, v: int, subset: int) -> FlowSolution:
-    """Flow network behind cost[subset, v], read from the decision records.
+    """Flow network behind cost[subset, v], following ``decision`` from it.
 
     An edge met on several branches keeps the largest of its flows. Raises
-    ValueError at a state with no record (unreached) or at a state met
-    twice: a record tree's branches carry disjoint subsets, so that means
-    the records form a cycle.
+    ValueError at a state with no decision (unreached) or one whose value
+    no split or neighbour reproduces. No state is met twice: a merge's
+    branches carry disjoint subsets, and an extension lowers (value, sweep).
     """
-    kind, arg, xmax = table.kind, table.arg, table.xmax
+    kind, xmax = table.kind, table.xmax
     flows: dict[tuple[int, int], float] = {}
     stack = [(v, subset)]
-    visited = set()
     while stack:
-        state = stack.pop()
-        if state in visited:
-            raise ValueError(f"decision records form a cycle at (node {state[0]}, "
-                             f"subset {state[1]:#x})")
-        visited.add(state)
-        node, mask = state
+        node, mask = stack.pop()
         k = kind[mask, node]
         if k == LEAF:
             continue
         if k == MERGE:
-            sub = int(arg[mask, node])
+            sub = decision(table, node, mask)
             stack.append((node, sub))
             stack.append((node, mask ^ sub))
         elif k == EXTEND:
-            nxt = int(arg[mask, node])
+            nxt = decision(table, node, mask)
             f = xmax[mask]
             key = (node, nxt)
             if flows.get(key, 0.0) < f:

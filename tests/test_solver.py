@@ -25,7 +25,17 @@ from ostflow import (
     solve_ost,
 )
 import ostflow.solver
-from ostflow.solver import EXTEND, LEAF, MERGE, UNSET, dp_grow, dp_init, dp_merge, reconstruct
+from ostflow.solver import (
+    EXTEND,
+    LEAF,
+    MERGE,
+    UNSET,
+    decision,
+    dp_grow,
+    dp_init,
+    dp_merge,
+    reconstruct,
+)
 
 from helpers import (
     W1_OPT_COST,
@@ -114,7 +124,7 @@ def test_dp_merge_ties_take_the_first_split_on_strict_improvement():
     for v in (0, 1, 3):
         assert table.cost[0b111, v] == 3.0
         assert table.kind[0b111, v] == MERGE
-        assert table.arg[0b111, v] == 0b001  # lowest of 0b001, 0b011, 0b101
+        assert decision(table, v, 0b111) == 0b001  # lowest of 0b001, 0b011, 0b101
     assert table.kind[0b111, 2] == UNSET
 
 
@@ -193,13 +203,30 @@ def test_reconstruct_unreachable_state_errors(w1):
 
 
 def test_reconstruct_refuses_a_record_cycle(w1):
-    # hand-made records: (0, D1) extends to node 1 and (1, D1) back to node 0
+    # hand-made records: (0, D1) and (1, D1) are EXTEND states changed in
+    # the same sweep, at a value so large that edge 0-1 adds nothing to it;
+    # each reaches the other's value, but neither changed earlier, so
+    # neither is the other's predecessor
     table = dp_init(w1)
-    table.cost[D1, [0, 1]] = 0.5
+    table.cost[D1, [0, 1]] = 1e17
     table.kind[D1, [0, 1]] = EXTEND
-    table.arg[D1, 0], table.arg[D1, 1] = 1, 0
-    with pytest.raises(ValueError, match=r"records form a cycle at \(node 0, subset 0x1\)"):
+    table.arg[D1, [0, 1]] = 1
+    with pytest.raises(ValueError, match=r"reproduces the cost at \(node 0, subset 0x1\)$"):
         reconstruct(table, w1, 0, D1)
+
+
+def test_reconstruct_names_a_state_that_no_decision_reproduces(w1):
+    table = _filled(w1, per_subset=False)
+    assert table.kind[FULL, 3] == MERGE and table.kind[FULL, 0] == EXTEND
+    # no split sums to the merged value at node 3 any more, and node 0's
+    # extension from node 3 no longer adds up either
+    table.cost[FULL, 3] += 0.01
+    for node in (3, 0):
+        message = ("inconsistent table: no split or neighbour reproduces the cost at "
+                   f"(node {node}, subset 0x3)")
+        with pytest.raises(ValueError) as exc:
+            reconstruct(table, w1, node, FULL)
+        assert str(exc.value) == message
 
 
 def _layers(k: int) -> list[list[int]]:
@@ -235,10 +262,10 @@ def test_layer_calls_match_per_subset_calls(n, degree, k, seed):
     _assert_same_tables(_filled(inst, per_subset=False), _filled(inst, per_subset=True))
 
 
-def _best_first_grow(table, inst: Instance, subset: int) -> None:
+def _best_first_grow(table, inst: Instance, subset: int) -> dict[int, int]:
     """Reference grow for one subset: a heapq Dijkstra seeded with every
     finite entry; ties settle lower node ids first and only a strict
-    improvement records EXTEND."""
+    improvement records EXTEND. Returns each improved node's predecessor."""
     xm = table.xmax[subset]
     dist = table.cost[subset].tolist()
     heap = [(d, v) for v, d in enumerate(dist) if d < math.inf]
@@ -256,9 +283,17 @@ def _best_first_grow(table, inst: Instance, subset: int) -> None:
                 improved[u] = v
                 heapq.heappush(heap, (dist[u], u))
     table.cost[subset] = dist
-    for u, v in improved.items():
-        table.kind[subset, u] = EXTEND
-        table.arg[subset, u] = v
+    table.kind[subset, list(improved)] = EXTEND
+    return improved
+
+
+def _first_least_split(cost: np.ndarray, node: int, subset: int) -> int:
+    """Half F of the first least split of ``subset`` at ``node``, F holding
+    the subset's lowest bit, by ascending F."""
+    low = subset & -subset
+    halves = [f for f in range(low, subset) if f & subset == f and f & low]
+    sums = [cost[f, node] + cost[subset ^ f, node] for f in halves]
+    return halves[sums.index(min(sums))]
 
 
 @pytest.mark.parametrize("n, degree, k, seed", BATCH_CASES + [(300, 4, 5, 6)])
@@ -272,11 +307,20 @@ def test_grow_matches_best_first_records(n, degree, k, seed, integer_weights):
         edges = tuple((u, v, float(1 + int(3 * w))) for u, v, w in inst.graph.edges)
         inst = replace(inst, graph=Graph(inst.graph.node_count, edges))
     reference = dp_init(inst)
+    predecessor = {}
     for layer in _layers(k):
         dp_merge(reference, layer)
         for subset in layer:
-            _best_first_grow(reference, inst, subset)
-    _assert_same_tables(_filled(inst, per_subset=False), reference)
+            predecessor[subset] = _best_first_grow(reference, inst, subset)
+    table = _filled(inst, per_subset=False)
+    assert table.cost.tobytes() == reference.cost.tobytes()
+    assert table.kind.tobytes() == reference.kind.tobytes()
+    for subset, node in zip(*map(np.ndarray.tolist, np.nonzero(table.kind >= MERGE))):
+        if table.kind[subset, node] == EXTEND:
+            expected = predecessor[subset][node]
+        else:
+            expected = _first_least_split(table.cost, node, subset)
+        assert decision(table, node, subset) == expected, (subset, node)
 
 
 # the last case has more nodes than CHUNK_ELEMENTS, and so more arcs: even
@@ -295,7 +339,8 @@ def test_tables_do_not_depend_on_chunk_size(n, degree, k, seed, monkeypatch):
 def test_workspace_bounds_solve_memory():
     # exact-wide shape: the table, a workspace sized to the solve's largest
     # chunk and little else; the excess read 2.9 units when every chunk
-    # allocated its own temporaries and 3.3 with the workspace
+    # allocated its own temporaries, 3.3 with eleven chunk-sized workspace
+    # buffers and 1.6 with two, the others sized to a chunk's rows
     inst = generate_instance(GenConfig(node_count=1000, avg_degree=4, terminal_count=4, seed=2))
     table_bytes = (1 << 4) * 1000 * ostflow.solver.STATE_BYTES
     tracemalloc.start()
@@ -305,7 +350,7 @@ def test_workspace_bounds_solve_memory():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= table_bytes + 4 * ostflow.solver.CHUNK_ELEMENTS * 8, peak
+    assert peak <= table_bytes + 2 * ostflow.solver.CHUNK_ELEMENTS * 8, peak
 
 
 FAULT_PROBE = """
@@ -381,7 +426,7 @@ def test_ost_documents_match_golden_corpus():
 
 def test_ost_documents_match_tie_golden_corpus():
     # rounded, zero and unit weights make equal-cost alternatives common,
-    # so this pins the tie-breaking of merge and of grow's decision pass
+    # so this pins the tie-breaking of the decisions reconstruct derives
     rows = json.loads(TIE_GOLDEN.read_text())
     assert len(rows) == 184
     for row in rows:
