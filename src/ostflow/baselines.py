@@ -62,6 +62,16 @@ class MetaheuristicParams:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
 
+def _sum_left(values) -> float:
+    """Float sum added left to right. Seeded totals use it, not ``sum``,
+    which compensates rounding on Python >= 3.12 and so would make a run's
+    draws and costs depend on the interpreter."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def _kruskal(node_count: int, pairs, need: int) -> list[tuple[int, int]]:
     """Minimum spanning forest from (u, v) pairs already in (weight, u, v)
     order; stops once ``need`` edges are in the forest."""
@@ -188,7 +198,7 @@ class _SubsetDecoder:
         self._v = np.array([v for _, _, v in ordered], dtype=np.intp)
         # Any feasible cost is below this: the whole graph at max demand.
         self.penalty = (
-            sum(w for _, _, w in inst.graph.edges) * inst.max_demand() + 1.0
+            _sum_left(w for _, _, w in inst.graph.edges) * inst.max_demand() + 1.0
         )
         self._cache: dict[tuple[int, ...], tuple[float, dict[tuple[int, int], float] | None]] = {}
 
@@ -265,12 +275,12 @@ def solve_ga(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSoluti
             b = population[_tournament(rng, fits, p.tournament_size)]
             if length and rng.random() < p.crossover_rate:
                 mix = (rng.random(length) < 0.5).tolist()
-                child = tuple(x if m else y for x, y, m in zip(a, b, mix))
+                child = tuple([x if m else y for x, y, m in zip(a, b, mix)])
             else:
                 child = a
             if length:
                 flips = (rng.random(length) < p.mutation_rate).tolist()
-                child = tuple(x ^ 1 if f else x for x, f in zip(child, flips))
+                child = tuple([x ^ 1 if f else x for x, f in zip(child, flips)])
             children.append(child)
         population = children
     return make_solution(inst, best_flows, "ga")
@@ -321,7 +331,7 @@ def solve_bco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
                 stale[i] += 1
         costs = [decoder.decode(s)[0] for s in sites]
         weights = [1.0 / (1.0 + c) for c in costs]
-        total = sum(weights)
+        total = _sum_left(weights)
         for _ in range(p.population):
             r = rng.random() * total
             j = 0
@@ -336,7 +346,7 @@ def solve_bco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
                 sites[j] = trial
                 costs[j] = t_cost
                 weights[j] = 1.0 / (1.0 + t_cost)
-                total = sum(weights)
+                total = _sum_left(weights)
                 stale[j] = 0
             else:
                 stale[j] += 1
@@ -350,15 +360,26 @@ def solve_bco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
     return make_solution(inst, best_flows, "bco")
 
 
-def _uniform_draws(rng: np.random.Generator):
-    """rng.random() values one at a time, drawn from the generator in
-    blocks; the stream is the same as that of scalar calls."""
-    while True:
-        yield from rng.random(4096).tolist()
+class _Draws:
+    """rng.random() values one at a time: ``block[pos]`` is the next one.
+    A block of 4096 is drawn from the generator when the last runs out,
+    so the stream is the same as that of scalar calls."""
+
+    __slots__ = ("rng", "block", "pos")
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.block: list[float] = []
+        self.pos = 0
+
+    def refill(self) -> list[float]:
+        self.block = self.rng.random(4096).tolist()
+        self.pos = 0
+        return self.block
 
 
 def _ant_walk(
-    draws,
+    draws: _Draws,
     source: int,
     target: int,
     hops: list[list[tuple[int, int, float]]],
@@ -366,35 +387,47 @@ def _ant_walk(
     """Randomized depth-first walk from the source to the target. ``hops[u]``
     lists (neighbour, edge id, pheromone^alpha * desirability) by
     neighbour; the next hop is drawn among the unvisited ones in
-    proportion to the weight. Complete: dead ends backtrack, so any
+    proportion to the weight. Every forward step uses one draw, even with
+    a single option. Complete: dead ends backtrack, without a draw, so any
     reachable target is found. Returns the ids of the path's edges."""
     path = [source]
     via: list[int] = []
-    visited = {source}
-    while True:
-        u = path[-1]
-        if u == target:
-            return via
-        options = [hop for hop in hops[u] if hop[0] not in visited]
+    visited = [False] * len(hops)
+    visited[source] = True
+    block, pos = draws.block, draws.pos
+    u = source
+    while u != target:
+        options = [hop for hop in hops[u] if not visited[hop[0]]]
         if not options:
             path.pop()
             via.pop()
+            u = path[-1]
             continue
-        r = next(draws)
+        try:
+            r = block[pos]
+        except IndexError:
+            block, pos = draws.refill(), 0
+            r = block[0]
+        pos += 1
         if len(options) == 1:
-            v, e, _ = options[0]
+            hop = options[0]
         else:
-            weights = [hop[2] for hop in options]
-            r *= sum(weights)
-            j = 0
-            acc = weights[0]
-            while acc < r and j + 1 < len(weights):
-                j += 1
-                acc += weights[j]
-            v, e, _ = options[j]
-        visited.add(v)
-        path.append(v)
-        via.append(e)
+            # _sum_left inlined, then the first running sum reaching r
+            total = 0.0
+            for hop in options:
+                total += hop[2]
+            r *= total
+            acc = 0.0
+            for hop in options:
+                acc += hop[2]
+                if acc >= r:
+                    break
+        u = hop[0]
+        visited[u] = True
+        path.append(u)
+        via.append(hop[1])
+    draws.pos = pos
+    return via
 
 
 def solve_aco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolution:
@@ -408,7 +441,7 @@ def solve_aco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
     pheromone each iteration after evaporation."""
     require_feasible(inst)
     p = p or MetaheuristicParams()
-    draws = _uniform_draws(np.random.Generator(np.random.PCG64(p.seed)))
+    draws = _Draws(np.random.Generator(np.random.PCG64(p.seed)))
     graph = inst.graph
     n = graph.node_count
     # edge ids follow Kruskal order (weight, u, v), so sorted ids are too

@@ -204,12 +204,13 @@ def flow_cost(graph: Graph, flows: dict[tuple[int, int], float]) -> float:
 
     Raises ValueError on a flow over an edge absent from the graph.
     """
+    weights = graph._weights
     cost = 0.0
     for (u, v), f in sorted(flows.items()):
-        try:
-            cost += graph.weight(u, v) * f
-        except KeyError:
-            raise ValueError(f"flow on edge ({u}, {v}) absent from graph") from None
+        w = weights.get((u, v) if u < v else (v, u))
+        if w is None:
+            raise ValueError(f"flow on edge ({u}, {v}) absent from graph")
+        cost += w * f
     return cost
 
 

@@ -133,6 +133,53 @@ BASELINES = {
 }
 
 
+def reference_uniform_draws(rng: np.random.Generator):
+    """rng.random() values one at a time, drawn from the generator in
+    blocks; the stream is the same as that of scalar calls. The ant
+    walk's draw stream before it read blocks by index."""
+    while True:
+        yield from rng.random(4096).tolist()
+
+
+def reference_ant_walk(
+    draws,
+    source: int,
+    target: int,
+    hops: list[list[tuple[int, int, float]]],
+) -> list[int]:
+    """The ant walk as a set-and-``sum`` loop, kept as the reference for
+    ``baselines._ant_walk``: it draws from a ``reference_uniform_draws``
+    iterator and must return the same edge ids after the same draws.
+    Its ``sum`` adds left to right on Python 3.11 only."""
+    path = [source]
+    via: list[int] = []
+    visited = {source}
+    while True:
+        u = path[-1]
+        if u == target:
+            return via
+        options = [hop for hop in hops[u] if hop[0] not in visited]
+        if not options:
+            path.pop()
+            via.pop()
+            continue
+        r = next(draws)
+        if len(options) == 1:
+            v, e, _ = options[0]
+        else:
+            weights = [hop[2] for hop in options]
+            r *= sum(weights)
+            j = 0
+            acc = weights[0]
+            while acc < r and j + 1 < len(weights):
+                j += 1
+                acc += weights[j]
+            v, e, _ = options[j]
+        visited.add(v)
+        path.append(v)
+        via.append(e)
+
+
 def generator_golden_instance(spec: dict):
     """Instance named by a generator golden-table entry.
 

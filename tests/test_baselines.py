@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ostflow import (
@@ -17,6 +18,7 @@ from ostflow import (
     solve_ost,
     solve_sp_union,
 )
+from ostflow.baselines import _ant_walk, _Draws, _sum_left
 
 from helpers import (
     BASELINES,
@@ -25,6 +27,8 @@ from helpers import (
     decode_node_subset,
     flows_close,
     golden_instance,
+    reference_ant_walk,
+    reference_uniform_draws,
     solution_fingerprint,
     stray_component_instance,
 )
@@ -196,3 +200,69 @@ def test_baselines_match_golden_table():
         for name, expected in row["results"].items():
             got = solution_fingerprint(BASELINES[name](inst, params))
             assert got == expected, (name, row["instance"], row["params"])
+
+
+def test_sum_left_adds_left_to_right():
+    # a compensated sum (Python >= 3.12's sum) gives 1.0 here
+    assert _sum_left([0.1] * 10) == 0.9999999999999999
+    assert _sum_left(iter([0.5, 0.25])) == 0.75
+    assert _sum_left([]) == 0.0
+
+
+def _random_hops(rng, n: int, rule: str, alpha: float):
+    """A hop table as solve_aco builds one, on a random connected graph: a
+    random tree, so dead ends are common, plus up to n extra edges.
+    ``rule`` sets the edge weights: "random", "equal" (all 1.0) or "zero"
+    (rounded so most are 0.0, whose desirability is 1e24)."""
+    edges = {(int(rng.integers(0, v)), v) for v in range(1, n)}
+    for _ in range(int(rng.integers(0, n + 1))):
+        u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
+        edges.add((u, v))
+    hops = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(sorted(edges)):
+        w = 1.0 if rule == "equal" else rng.random()
+        if rule == "zero":
+            w = round(0.6 * w)
+        weight = (0.5 + rng.random()) ** alpha * (1.0 / max(w, 1e-12)) ** 2.0
+        hops[u].append((v, i, weight))
+        hops[v].append((u, i, weight))
+    for entries in hops:
+        entries.sort()
+    return hops
+
+
+class _CountingDraws(_Draws):
+    blocks = 0
+
+    def refill(self):
+        self.blocks += 1
+        return super().refill()
+
+    def used(self) -> int:
+        return self.blocks * 4096 - len(self.block) + self.pos
+
+
+def test_ant_walk_matches_reference():
+    # same edges and same draws as the set-and-sum walk, walk after walk on
+    # one stream, so block boundaries fall inside walks too
+    rng = np.random.default_rng(2024)
+    draws = _CountingDraws(np.random.Generator(np.random.PCG64(7)))
+    reference_used = 0
+
+    def counted(stream):
+        nonlocal reference_used
+        for r in stream:
+            reference_used += 1
+            yield r
+
+    reference = counted(reference_uniform_draws(np.random.Generator(np.random.PCG64(7))))
+    walks = 0
+    for table in range(200):
+        n = int(rng.integers(5, 61))
+        hops = _random_hops(rng, n, ("random", "equal", "zero")[table % 3], (1.0, 2.0)[table % 2])
+        for target in rng.choice(np.arange(1, n), size=3).tolist():
+            expected = reference_ant_walk(reference, 0, target, hops)
+            assert _ant_walk(draws, 0, target, hops) == expected, (table, target)
+            assert draws.used() == reference_used, (table, target)
+            walks += 1
+    assert walks >= 500 and draws.blocks >= 2
