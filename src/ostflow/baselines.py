@@ -9,8 +9,9 @@ a fixed seed reproduces the run bit for bit.
 GA and BCO share a genotype: one inclusion bit per free node (nodes in
 the source's component that are neither source nor terminal). A genome
 decodes to the minimum spanning tree of the induced subgraph, pruned of
-non-required leaves, with each edge carrying the largest demand below it.
-ACO builds one guided path per terminal and merges the paths instead.
+non-required leaves, with each edge carrying the largest demand below it;
+MST is the decode of every node. ACO builds one guided path per terminal
+and merges the paths instead.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FlowSolution, Instance, flow_cost, make_solution, require_feasible
+from .model import FlowSolution, Instance, flow_cost, make_solution, require_feasible, sum_left
 
 
 @dataclass(frozen=True)
@@ -60,16 +61,6 @@ class MetaheuristicParams:
             raise ValueError("abandonment_limit must be positive")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must be a 64-bit unsigned integer")
-
-
-def _sum_left(values) -> float:
-    """Float sum added left to right. Seeded totals use it, not ``sum``,
-    which compensates rounding on Python >= 3.12 and so would make a run's
-    draws and costs depend on the interpreter."""
-    total = 0.0
-    for x in values:
-        total += x
-    return total
 
 
 def _kruskal(node_count: int, pairs, need: int) -> list[tuple[int, int]]:
@@ -136,13 +127,10 @@ def solve_mst_prune(inst: Instance) -> FlowSolution:
     """
     require_feasible(inst)
     n = inst.graph.node_count
-    ordered = sorted((w, u, v) for u, v, w in inst.graph.edges)
-    tree = _kruskal(n, ((u, v) for _, u, v in ordered), n - 1)
-    if len(tree) != n - 1:
+    _, flows = _SubsetDecoder(inst).decode_mask(np.ones(n, dtype=bool), n)
+    if flows is None:
         raise ValueError("graph is disconnected; spanning tree does not exist")
-    top = inst.max_demand()
-    flows = {key: top for key in _tree_flows(n, tree, inst.source, inst.terminals)}
-    return make_solution(inst, flows, "mst")
+    return make_solution(inst, dict.fromkeys(flows, inst.max_demand()), "mst")
 
 
 def _lexmin_shortest_path_tree(inst: Instance) -> list[tuple[int, int]]:
@@ -177,11 +165,17 @@ def solve_sp_union(inst: Instance) -> FlowSolution:
     return make_solution(inst, flows, "spt")
 
 
+_Decoded = tuple[float, dict[tuple[int, int], float] | None]
+
+
 class _SubsetDecoder:
     """Decode node subsets into flow solutions, caching by genome.
 
     The decoded solution is the pruned MST of the induced subgraph with
     demand-law flows, or None when the induced subgraph is disconnected.
+    ``best`` is the incumbent: the first feasible genome decode of least
+    cost, or ``(penalty, None)`` before one; a feasible decode can cost the
+    penalty itself when rounding loses its + 1.0.
     """
 
     def __init__(self, inst: Instance):
@@ -196,13 +190,26 @@ class _SubsetDecoder:
         ordered = sorted((w, u, v) for u, v, w in inst.graph.edges)
         self._u = np.array([u for _, u, _ in ordered], dtype=np.intp)
         self._v = np.array([v for _, _, v in ordered], dtype=np.intp)
-        # Any feasible cost is below this: the whole graph at max demand.
-        self.penalty = (
-            _sum_left(w for _, _, w in inst.graph.edges) * inst.max_demand() + 1.0
-        )
-        self._cache: dict[tuple[int, ...], tuple[float, dict[tuple[int, int], float] | None]] = {}
+        # the whole graph at max demand, + 1.0: above any feasible cost unless
+        # the weights are so large that rounding loses the 1.0
+        self.penalty = sum_left(w for _, _, w in inst.graph.edges) * inst.max_demand() + 1.0
+        self._cache: dict[tuple[int, ...], _Decoded] = {}
+        self.best: _Decoded = (self.penalty, None)
 
-    def decode(self, genome: tuple[int, ...]) -> tuple[float, dict[tuple[int, int], float] | None]:
+    def random_genome(self, rng: np.random.Generator) -> tuple[int, ...]:
+        """A genome of fair coin flips, from one ``rng.integers`` draw."""
+        return tuple(rng.integers(0, 2, size=len(self.free)).tolist())
+
+    def first_genomes(self, rng: np.random.Generator, count: int) -> list[tuple[int, ...]]:
+        """The seeded start: the all-ones genome, which always decodes
+        feasibly on a valid instance and is decoded here, followed by
+        ``count - 1`` random genomes."""
+        all_ones = (1,) * len(self.free)
+        genomes = [all_ones] + [self.random_genome(rng) for _ in range(count - 1)]
+        self.decode(all_ones)
+        return genomes
+
+    def decode(self, genome: tuple[int, ...]) -> _Decoded:
         """(cost, flows) for a genome; (penalty, None) when infeasible."""
         hit = self._cache.get(genome)
         if hit is not None:
@@ -211,11 +218,11 @@ class _SubsetDecoder:
         mask[self.free[np.array(genome, dtype=bool)]] = True
         result = self.decode_mask(mask, len(self.inst.terminals) + 1 + sum(genome))
         self._cache[genome] = result
+        if result[1] is not None and (self.best[1] is None or result[0] < self.best[0]):
+            self.best = result
         return result
 
-    def decode_mask(
-        self, mask: np.ndarray, count: int
-    ) -> tuple[float, dict[tuple[int, int], float] | None]:
+    def decode_mask(self, mask: np.ndarray, count: int) -> _Decoded:
         """(cost, flows) for the ``count`` nodes set in a boolean node mask."""
         inst = self.inst
         keep = mask[self._u] & mask[self._v]
@@ -247,27 +254,18 @@ def _tournament(
 def solve_ga(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolution:
     """Genetic algorithm over node-inclusion genomes.
 
-    The all-ones genome (every free node selected) is injected into the
-    initial population; it always decodes feasibly on a valid instance,
-    so the best-ever solution exists. Elitism keeps the incumbent alive.
+    The population starts from the decoder's seeded start (the all-ones
+    genome, every free node selected, plus random genomes) and the result
+    is the decoder's incumbent. Elitism keeps the incumbent alive.
     """
     require_feasible(inst)
     p = p or MetaheuristicParams()
     decoder = _SubsetDecoder(inst)
     rng = np.random.Generator(np.random.PCG64(p.seed))
     length = len(decoder.free)
-    all_ones = (1,) * length
-    population = [all_ones]
-    for _ in range(p.population - 1):
-        population.append(tuple(rng.integers(0, 2, size=length).tolist()))
-    best_cost, best_flows = decoder.decode(all_ones)
+    population = decoder.first_genomes(rng, p.population)
     for _ in range(p.iterations):
-        fits = []
-        for genome in population:
-            cost, flows = decoder.decode(genome)
-            fits.append(cost)
-            if flows is not None and cost < best_cost:
-                best_cost, best_flows = cost, flows
+        fits = [decoder.decode(genome)[0] for genome in population]
         elite = min(range(len(population)), key=lambda i: (fits[i], i))
         children = [population[elite]]
         while len(children) < p.population:
@@ -283,7 +281,7 @@ def solve_ga(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSoluti
                 child = tuple([x ^ 1 if f else x for x, f in zip(child, flips)])
             children.append(child)
         population = children
-    return make_solution(inst, best_flows, "ga")
+    return make_solution(inst, decoder.best[1], "ga")
 
 
 def solve_bco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolution:
@@ -292,23 +290,16 @@ def solve_bco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
     Employed bees flip one bit of their site, onlookers sample sites in
     proportion to inverse cost, and scouts reinitialize the stalest sites
     once they exceed the abandonment limit (at most a scout_fraction of
-    the population per iteration). The all-ones site is seeded."""
+    the population per iteration). The sites start from the decoder's
+    seeded start, scouts draw the decoder's random genomes, and the result
+    is the decoder's incumbent."""
     require_feasible(inst)
     p = p or MetaheuristicParams()
     decoder = _SubsetDecoder(inst)
     rng = np.random.Generator(np.random.PCG64(p.seed))
     length = len(decoder.free)
-    all_ones = (1,) * length
-    sites = [all_ones]
-    for _ in range(p.population - 1):
-        sites.append(tuple(rng.integers(0, 2, size=length).tolist()))
+    sites = decoder.first_genomes(rng, p.population)
     stale = [0] * p.population
-    best_cost, best_flows = decoder.decode(all_ones)
-
-    def consider(cost: float, flows) -> None:
-        nonlocal best_cost, best_flows
-        if flows is not None and cost < best_cost:
-            best_cost, best_flows = cost, flows
 
     def flip_one(genome: tuple[int, ...]) -> tuple[int, ...]:
         if not length:
@@ -319,19 +310,16 @@ def solve_bco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
     max_scouts = max(1, math.ceil(p.scout_fraction * p.population))
     for _ in range(p.iterations):
         for i in range(p.population):
-            cost, flows = decoder.decode(sites[i])
-            consider(cost, flows)
+            cost = decoder.decode(sites[i])[0]
             trial = flip_one(sites[i])
-            t_cost, t_flows = decoder.decode(trial)
-            consider(t_cost, t_flows)
-            if t_cost < cost:
+            if decoder.decode(trial)[0] < cost:
                 sites[i] = trial
                 stale[i] = 0
             else:
                 stale[i] += 1
         costs = [decoder.decode(s)[0] for s in sites]
         weights = [1.0 / (1.0 + c) for c in costs]
-        total = _sum_left(weights)
+        total = sum_left(weights)
         for _ in range(p.population):
             r = rng.random() * total
             j = 0
@@ -340,13 +328,12 @@ def solve_bco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
                 j += 1
                 acc += weights[j]
             trial = flip_one(sites[j])
-            t_cost, t_flows = decoder.decode(trial)
-            consider(t_cost, t_flows)
+            t_cost = decoder.decode(trial)[0]
             if t_cost < costs[j]:
                 sites[j] = trial
                 costs[j] = t_cost
                 weights[j] = 1.0 / (1.0 + t_cost)
-                total = _sum_left(weights)
+                total = sum_left(weights)
                 stale[j] = 0
             else:
                 stale[j] += 1
@@ -355,9 +342,9 @@ def solve_bco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
             key=lambda i: (-stale[i], i),
         )
         for i in stuck[:max_scouts]:
-            sites[i] = tuple(rng.integers(0, 2, size=length).tolist())
+            sites[i] = decoder.random_genome(rng)
             stale[i] = 0
-    return make_solution(inst, best_flows, "bco")
+    return make_solution(inst, decoder.best[1], "bco")
 
 
 class _Draws:
@@ -412,7 +399,7 @@ def _ant_walk(
         if len(options) == 1:
             hop = options[0]
         else:
-            # _sum_left inlined, then the first running sum reaching r
+            # sum_left inlined, then the first running sum reaching r
             total = 0.0
             for hop in options:
                 total += hop[2]

@@ -20,7 +20,7 @@ from operator import attrgetter
 
 from .baselines import MetaheuristicParams
 from .generator import GenConfig, generate_instance, generate_regular_instance
-from .model import Instance
+from .model import Instance, sum_left
 from .registry import SOLVERS, SWEEP_ALGORITHMS, SweepKind
 from .validation import check_constraints
 
@@ -174,13 +174,13 @@ def summarize(table: list[ResultRow]) -> list[SummaryRow]:
     summary = []
     for value, algorithm in sorted(groups):
         costs = groups[(value, algorithm)]
-        mean = sum(costs) / len(costs)
-        var = sum((c - mean) ** 2 for c in costs) / len(costs)
+        mean = sum_left(costs) / len(costs)
+        var = sum_left((c - mean) ** 2 for c in costs) / len(costs)
         ost = groups.get((value, "ost"))
         if ost is None:
             improvement = None
         else:
-            mean_ost = sum(ost) / len(ost)
+            mean_ost = sum_left(ost) / len(ost)
             improvement = 0.0 if mean == 0 else 100.0 * (mean - mean_ost) / mean
         summary.append(
             SummaryRow(

@@ -199,6 +199,16 @@ class FlowSolution:
         return [(u, v, f) for (u, v), f in sorted(self.flows.items())]
 
 
+def sum_left(values) -> float:
+    """Float sum added left to right. Seeded totals and bench means use it,
+    not ``sum``, which compensates rounding on Python >= 3.12 and so would
+    make a run's draws, costs and summaries depend on the interpreter."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def flow_cost(graph: Graph, flows: dict[tuple[int, int], float]) -> float:
     """The objective: sum of weight * flow, added in sorted edge order.
 

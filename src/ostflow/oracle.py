@@ -18,7 +18,7 @@ from .model import (
     InfeasibleInstanceError,
     Instance,
     make_solution,
-    validate_instance,
+    require_feasible,
 )
 
 
@@ -40,9 +40,7 @@ def brute_force_optimum(inst: Instance, lim: OracleLimits | None = None) -> Flow
             f"oracle limit: instance has {n} nodes / {inst.graph.edge_count} edges, "
             f"limits are {lim.max_nodes} / {lim.max_edges}"
         )
-    report = validate_instance(inst)
-    if report:
-        raise InfeasibleInstanceError(report)
+    require_feasible(inst)
 
     edges = inst.graph.edges
     incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]

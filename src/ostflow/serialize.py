@@ -53,9 +53,8 @@ def parse_instance(text: str) -> Instance:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise InstanceError(f"edges[{i}]: expected [u, v, weight] triple, got {entry!r}")
         u, v, w = entry
-        if not isinstance(w, (int, float)) or isinstance(w, bool):
-            raise InstanceError(f"edges[{i}]: weight must be a number")
-        edges.append((_integer(u, f"edges[{i}][0]"), _integer(v, f"edges[{i}][1]"), float(w)))
+        w = _number(w, f"edges[{i}][2]")
+        edges.append((_integer(u, f"edges[{i}][0]"), _integer(v, f"edges[{i}][1]"), w))
     source = _integer(doc["source"], "source")
     terminals_raw = doc["terminals"]
     if not isinstance(terminals_raw, list):
@@ -65,12 +64,11 @@ def parse_instance(text: str) -> Instance:
         if not isinstance(entry, dict):
             raise InstanceError(f"terminals[{i}]: expected an object")
         _reject_unknown(entry, _TERMINAL_KEYS, f"terminals[{i}]")
-        node, demand = _integer(entry["node"], f"terminals[{i}].node"), entry["demand"]
-        if not isinstance(demand, (int, float)) or isinstance(demand, bool):
-            raise InstanceError(f"terminals[{i}].demand: expected number")
+        node = _integer(entry["node"], f"terminals[{i}].node")
+        demand = _number(entry["demand"], f"terminals[{i}].demand")
         if node in terminals:
             raise InstanceError(f"terminals[{i}]: duplicate terminal node {node}")
-        terminals[node] = float(demand)
+        terminals[node] = demand
     graph = Graph(node_count=nodes, edges=tuple(edges))
     return Instance(graph=graph, source=source, terminals=terminals)
 
@@ -111,15 +109,21 @@ def _integer(value: Any, where: str) -> int:
     return value
 
 
-def _finite(value: Any, where: str) -> float:
-    """``value`` as a float; json.loads accepts NaN, Infinity and integers
-    too large for a float, none of which a cost or a flow can be."""
+def _number(value: Any, where: str) -> float:
+    """``value`` as a float, where an integer too large for one (json.loads
+    accepts those) reads as inf; JSON ``true`` and ``false`` are not numbers."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise InstanceError(f"{where}: expected number")
     try:
-        number = float(value)
+        return float(value)
     except OverflowError:
-        number = math.inf
+        return math.inf
+
+
+def _finite(value: Any, where: str) -> float:
+    """``value`` as a finite float; json.loads accepts NaN, Infinity and
+    integers too large for a float, none of which a cost or a flow can be."""
+    number = _number(value, where)
     if not math.isfinite(number):
         raise InstanceError(f"{where}: expected a finite number, got {number}")
     return number

@@ -18,7 +18,8 @@ from ostflow import (
     solve_ost,
     solve_sp_union,
 )
-from ostflow.baselines import _ant_walk, _Draws, _sum_left
+from ostflow.baselines import _ant_walk, _Draws, _SubsetDecoder
+from ostflow.model import sum_left
 
 from helpers import (
     BASELINES,
@@ -204,9 +205,38 @@ def test_baselines_match_golden_table():
 
 def test_sum_left_adds_left_to_right():
     # a compensated sum (Python >= 3.12's sum) gives 1.0 here
-    assert _sum_left([0.1] * 10) == 0.9999999999999999
-    assert _sum_left(iter([0.5, 0.25])) == 0.75
-    assert _sum_left([]) == 0.0
+    assert sum_left([0.1] * 10) == 0.9999999999999999
+    assert sum_left(iter([0.5, 0.25])) == 0.75
+    assert sum_left([]) == 0.0
+
+
+def test_decoder_start_and_incumbent():
+    # free nodes 2, 3, 4 in genome order; 0-2-1 is the cheapest route to
+    # terminal 1, and node 4 hangs off free node 3
+    edges = ((0, 1, 1.0), (0, 2, 0.1), (1, 2, 0.1), (0, 3, 0.5), (3, 4, 0.5))
+    inst = Instance(Graph(5, edges), source=0, terminals={1: 1.0})
+    decoder = _SubsetDecoder(inst)
+    assert decoder.best == (decoder.penalty, None)
+    rng, twin = (np.random.Generator(np.random.PCG64(5)) for _ in range(2))
+    genomes = decoder.first_genomes(rng, 4)
+    assert genomes[0] == (1, 1, 1)
+    assert genomes[1:] == [tuple(twin.integers(0, 2, size=3).tolist()) for _ in range(3)]
+    assert decoder.random_genome(rng) == tuple(twin.integers(0, 2, size=3).tolist())
+    first = decoder.best
+    assert first is decoder.decode((1, 1, 1)) and close(first[0], 0.2)
+    # equal cost, dearer, infeasible: none replaces the first least-cost decode
+    assert decoder.decode((1, 0, 0))[0] == first[0]
+    assert decoder.decode((0, 0, 0))[1] is not None
+    assert decoder.decode((0, 0, 1)) == (decoder.penalty, None)
+    assert decoder.best is first
+    # an infeasible decode never becomes the incumbent, even with none yet
+    fresh = _SubsetDecoder(inst)
+    fresh.decode((0, 0, 1))
+    assert fresh.best == (fresh.penalty, None)
+    # a feasible decode at the penalty (its + 1.0 lost to rounding) still counts
+    big = _SubsetDecoder(Instance(Graph(2, ((0, 1, 1e17),)), source=0, terminals={1: 1.0}))
+    big.first_genomes(rng, 1)
+    assert big.best == (big.penalty, {(0, 1): 1.0})
 
 
 def _random_hops(rng, n: int, rule: str, alpha: float):

@@ -204,6 +204,12 @@ def test_summarize_improvement_arithmetic():
     assert summary["mst"].std_cost == 0.0
 
 
+def test_summarize_adds_left_to_right():
+    # a compensated sum (Python >= 3.12's sum) gives a mean of 0.1 here
+    table = [_row(10, s, "mst", 0.1) for s in range(10)]
+    assert summarize(table)[0].mean_cost == 0.09999999999999999
+
+
 def test_summarize_equal_costs_zero_improvement():
     table = [_row(10, s, a, 1.25) for s in range(3) for a in ("ost", "spt")]
     for s in summarize(table):

@@ -76,6 +76,8 @@ def test_solve_missing_file_exits_1(capsys, tmp_path):
     [
         ("0.3", "NaN", "edge (0, 3) has non-finite weight nan"),
         ('"demand": 0.25', '"demand": Infinity', "terminal 2 has non-finite demand inf"),
+        ("0.3", "1" + "0" * 400, "edge (0, 3) has non-finite weight inf"),
+        ('"demand": 0.25', '"demand": 1' + "0" * 400, "terminal 2 has non-finite demand inf"),
     ],
 )
 def test_solve_non_finite_instance_exits_1(capsys, tmp_path, w1_path, old, new, message):

@@ -97,6 +97,9 @@ def test_parse_rejects_duplicate_terminal():
         ("[0, 1, 0.5]", "[0, 1, Infinity]", r"edge \(0, 1\) has non-finite weight inf"),
         ('"demand": 1.0', '"demand": NaN', "terminal 1 has non-finite demand nan"),
         ('"demand": 1.0', '"demand": -Infinity', "terminal 1 has non-finite demand -inf"),
+        # integers too large for a float read as inf
+        ("[0, 1, 0.5]", "[0, 1, 1" + "0" * 400 + "]", r"edge \(0, 1\) has non-finite weight inf"),
+        ('"demand": 1.0', '"demand": 1' + "0" * 400, "terminal 1 has non-finite demand inf"),
     ],
 )
 def test_parse_rejects_non_finite_numbers(old, new, message):
