@@ -55,6 +55,8 @@ class MetaheuristicParams:
             raise ValueError("tournament_size must be positive")
         if not (0 < self.evaporation < 1):
             raise ValueError("evaporation must lie in (0, 1)")
+        if not (0 <= self.pheromone_weight < math.inf and 0 <= self.heuristic_weight < math.inf):
+            raise ValueError("pheromone_weight and heuristic_weight must be finite and >= 0")
         if not (0 <= self.scout_fraction <= 1):
             raise ValueError("scout_fraction must lie in [0, 1]")
         if self.abandonment_limit < 1:
@@ -174,8 +176,9 @@ class _SubsetDecoder:
     The decoded solution is the pruned MST of the induced subgraph with
     demand-law flows, or None when the induced subgraph is disconnected.
     ``best`` is the incumbent: the first feasible genome decode of least
-    cost, or ``(penalty, None)`` before one; a feasible decode can cost the
-    penalty itself when rounding loses its + 1.0.
+    cost, or ``(penalty, None)`` before one. The penalty lies strictly
+    above every feasible cost, also where the weights are so large that a
+    + 1.0 would be lost to rounding.
     """
 
     def __init__(self, inst: Instance):
@@ -190,9 +193,10 @@ class _SubsetDecoder:
         ordered = sorted((w, u, v) for u, v, w in inst.graph.edges)
         self._u = np.array([u for _, u, _ in ordered], dtype=np.intp)
         self._v = np.array([v for _, _, v in ordered], dtype=np.intp)
-        # the whole graph at max demand, + 1.0: above any feasible cost unless
-        # the weights are so large that rounding loses the 1.0
-        self.penalty = sum_left(w for _, _, w in inst.graph.edges) * inst.max_demand() + 1.0
+        # the whole graph at max demand plus a margin no rounding can lose:
+        # 1.0, or 2^-30 of the total where that is larger (from 2^30 on)
+        base = sum_left(w for _, _, w in inst.graph.edges) * inst.max_demand()
+        self.penalty = base + max(1.0, base * 2**-30)
         self._cache: dict[tuple[int, ...], _Decoded] = {}
         self.best: _Decoded = (self.penalty, None)
 
@@ -376,7 +380,12 @@ def _ant_walk(
     neighbour; the next hop is drawn among the unvisited ones in
     proportion to the weight. Every forward step uses one draw, even with
     a single option. Complete: dead ends backtrack, without a draw, so any
-    reachable target is found. Returns the ids of the path's edges."""
+    reachable target is found. Returns the ids of the path's edges.
+
+    A step builds no option list: one pass over ``hops[u]`` adds the
+    unvisited weights left to right and keeps the last unvisited hop, and
+    with several options a second pass takes the first unvisited hop whose
+    running sum reaches ``r * total`` (the last one if none does)."""
     path = [source]
     via: list[int] = []
     visited = [False] * len(hops)
@@ -384,8 +393,15 @@ def _ant_walk(
     block, pos = draws.block, draws.pos
     u = source
     while u != target:
-        options = [hop for hop in hops[u] if not visited[hop[0]]]
-        if not options:
+        total = 0.0
+        last = None
+        several = False
+        for hop in hops[u]:
+            if not visited[hop[0]]:
+                total += hop[2]
+                several = last is not None
+                last = hop
+        if last is None:
             path.pop()
             via.pop()
             u = path[-1]
@@ -396,25 +412,42 @@ def _ant_walk(
             block, pos = draws.refill(), 0
             r = block[0]
         pos += 1
-        if len(options) == 1:
-            hop = options[0]
-        else:
-            # sum_left inlined, then the first running sum reaching r
-            total = 0.0
-            for hop in options:
-                total += hop[2]
+        hop = last
+        if several:
             r *= total
             acc = 0.0
-            for hop in options:
-                acc += hop[2]
-                if acc >= r:
-                    break
+            for option in hops[u]:
+                if not visited[option[0]]:
+                    acc += option[2]
+                    if acc >= r:
+                        hop = option
+                        break
         u = hop[0]
         visited[u] = True
         path.append(u)
         via.append(hop[1])
     draws.pos = pos
     return via
+
+
+def _edge_values(ends: list[tuple[int, int]], values, what: str) -> list[float]:
+    """The per-edge ``values``, in edge id order, as a list; a value that
+    overflows a float is a ValueError naming its edge."""
+    finite: list[float] = []
+    try:
+        for x in values:
+            if x == math.inf:
+                break
+            finite.append(x)
+    except OverflowError:  # float ** raises it; an overflowing product is inf
+        pass
+    if len(finite) == len(ends):
+        return finite
+    u, v = ends[len(finite)]
+    raise ValueError(
+        f"ACO {what} of edge ({u}, {v}) overflows a float; "
+        "lower pheromone_weight or heuristic_weight"
+    )
 
 
 def solve_aco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolution:
@@ -435,7 +468,9 @@ def solve_aco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
     ordered = sorted((w, u, v) for u, v, w in graph.edges)
     edge_id = {(u, v): i for i, (_, u, v) in enumerate(ordered)}
     ends = [(u, v) for _, u, v in ordered]
-    desir = [(1.0 / max(w, 1e-12)) ** p.heuristic_weight for w, _, _ in ordered]
+    desir = _edge_values(
+        ends, ((1.0 / max(w, 1e-12)) ** p.heuristic_weight for w, _, _ in ordered), "desirability"
+    )
     pheromone = [1.0] * len(ordered)
     incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, (_, u, v) in enumerate(ordered):
@@ -449,7 +484,9 @@ def solve_aco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
     best_flows: dict[tuple[int, int], float] | None = None
     best_support: set[int] = set()
     for _ in range(p.iterations):
-        hops = [[(v, i, pheromone[i] ** alpha * desir[i]) for v, i in nb] for nb in incident]
+        powered = (x ** alpha * d for x, d in zip(pheromone, desir))
+        weight = _edge_values(ends, powered, "hop weight")
+        hops = [[(v, i, weight[i]) for v, i in nb] for nb in incident]
         for _ in range(p.ant_count):
             support: set[int] = set()
             for t in terminals:

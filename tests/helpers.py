@@ -22,7 +22,7 @@ from ostflow import (
     solve_sp_union,
 )
 from ostflow.baselines import _SubsetDecoder
-from ostflow.model import make_solution
+from ostflow.model import make_solution, sum_left
 
 W1_OPT_COST = 0.35
 W1_OPT_FLOWS = {(0, 3): 1.0, (3, 1): 0.25, (1, 2): 0.25}
@@ -147,10 +147,10 @@ def reference_ant_walk(
     target: int,
     hops: list[list[tuple[int, int, float]]],
 ) -> list[int]:
-    """The ant walk as a set-and-``sum`` loop, kept as the reference for
+    """The ant walk as a set-and-list loop, kept as the reference for
     ``baselines._ant_walk``: it draws from a ``reference_uniform_draws``
     iterator and must return the same edge ids after the same draws.
-    Its ``sum`` adds left to right on Python 3.11 only."""
+    Its total adds left to right (``model.sum_left``) on every Python."""
     path = [source]
     via: list[int] = []
     visited = {source}
@@ -168,7 +168,7 @@ def reference_ant_walk(
             v, e, _ = options[0]
         else:
             weights = [hop[2] for hop in options]
-            r *= sum(weights)
+            r *= sum_left(weights)
             j = 0
             acc = weights[0]
             while acc < r and j + 1 < len(weights):

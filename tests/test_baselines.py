@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +187,29 @@ def test_params_validate_domains():
         MetaheuristicParams(population=0)
     with pytest.raises(ValueError):
         MetaheuristicParams(crossover_rate=1.5)
+    for bad in (math.nan, math.inf, -5.0):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            MetaheuristicParams(pheromone_weight=bad)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            MetaheuristicParams(heuristic_weight=bad)
+    MetaheuristicParams(pheromone_weight=0.0, heuristic_weight=0.0)
+
+
+def test_aco_weight_overflow_names_the_edge():
+    # desirability (1 / 1e-3)^beta passes 1.8e308 at beta 103; at beta 102
+    # the hop weight overflows once the first deposit lifts the pheromone,
+    # as a product (alpha 10) or inside the power (alpha 2000)
+    inst = Instance(Graph(3, ((0, 1, 1e-3), (1, 2, 1.0))), source=0, terminals={2: 1.0})
+    cases = (
+        ({"heuristic_weight": 103.0}, "desirability"),
+        ({"heuristic_weight": 102.0, "pheromone_weight": 10.0}, "hop weight"),
+        ({"heuristic_weight": 102.0, "pheromone_weight": 2000.0}, "hop weight"),
+    )
+    for knobs, what in cases:
+        params = MetaheuristicParams(iterations=2, ant_count=1, **knobs)
+        with pytest.raises(ValueError, match=rf"^ACO {what} of edge \(0, 1\) overflows"):
+            solve_aco(inst, params)
+    assert close(solve_aco(inst, MetaheuristicParams(iterations=2, heuristic_weight=102.0)).cost, 1.001)
 
 
 def test_baselines_match_golden_table():
@@ -233,10 +257,11 @@ def test_decoder_start_and_incumbent():
     fresh = _SubsetDecoder(inst)
     fresh.decode((0, 0, 1))
     assert fresh.best == (fresh.penalty, None)
-    # a feasible decode at the penalty (its + 1.0 lost to rounding) still counts
+    # where a + 1.0 would be lost to rounding, the penalty still lies
+    # strictly above a feasible cost
     big = _SubsetDecoder(Instance(Graph(2, ((0, 1, 1e17),)), source=0, terminals={1: 1.0}))
     big.first_genomes(rng, 1)
-    assert big.best == (big.penalty, {(0, 1): 1.0})
+    assert big.best[1] == {(0, 1): 1.0} and big.best[0] < big.penalty
 
 
 def _random_hops(rng, n: int, rule: str, alpha: float):

@@ -146,6 +146,21 @@ def test_solve_bad_metaheuristic_knob_exits_1(capsys, w1_path):
     assert err == "ostflow: population, iterations and ant_count must be positive\n"
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--aco-beta", "nan", "pheromone_weight and heuristic_weight must be finite and >= 0"),
+        ("--aco-alpha", "-5", "pheromone_weight and heuristic_weight must be finite and >= 0"),
+        ("--aco-beta", "400", "ACO desirability of edge (1, 2) overflows a float; "
+                              "lower pheromone_weight or heuristic_weight"),
+    ],
+)
+def test_solve_bad_aco_weight_exits_1(capsys, w1_path, flag, value, message):
+    code, out, err = run(capsys, "solve", "--instance", w1_path, "--algorithm", "aco", flag, value)
+    assert code == 1 and out == ""
+    assert err == f"ostflow: {message}\n"
+
+
 def test_solve_oversized_state_space_exits_1(capsys, tmp_path):
     path = tmp_path / "big.json"
     path.write_text(serialize_instance(oversized_instance()))
