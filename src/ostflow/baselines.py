@@ -6,12 +6,13 @@ All emit FlowSolution and are pure functions of (instance, params), with
 metaheuristics draw every random number from one seeded PCG64 stream, so
 a fixed seed reproduces the run bit for bit.
 
-GA and BCO share a genotype: one inclusion bit per free node (nodes in
-the source's component that are neither source nor terminal). A genome
-decodes to the minimum spanning tree of the induced subgraph, pruned of
-non-required leaves, with each edge carrying the largest demand below it;
-MST is the decode of every node. ACO builds one guided path per terminal
-and merges the paths instead.
+GA and BCO share a genotype: ``bytes`` with one 0/1 byte per free node
+(nodes in the source's component that are neither source nor terminal).
+A genome decodes to the minimum spanning tree of the induced subgraph,
+pruned of non-required leaves, with each edge carrying the largest demand
+below it; MST is the decode of every node. The decoder caches each
+genome's cost only; the incumbent alone keeps its flows. ACO builds one
+guided path per terminal and merges the paths instead.
 """
 
 from __future__ import annotations
@@ -171,14 +172,16 @@ _Decoded = tuple[float, dict[tuple[int, int], float] | None]
 
 
 class _SubsetDecoder:
-    """Decode node subsets into flow solutions, caching by genome.
+    """Decode node subsets into flow solutions, caching the cost by genome.
 
-    The decoded solution is the pruned MST of the induced subgraph with
-    demand-law flows, or None when the induced subgraph is disconnected.
-    ``best`` is the incumbent: the first feasible genome decode of least
-    cost, or ``(penalty, None)`` before one. The penalty lies strictly
-    above every feasible cost, also where the weights are so large that a
-    + 1.0 would be lost to rounding.
+    A genome is ``bytes``, one 0/1 byte per free node. The decoded
+    solution is the pruned MST of the induced subgraph with demand-law
+    flows, or None when the induced subgraph is disconnected. The cache
+    maps a genome to its cost alone; ``best`` is the incumbent and the
+    only decode whose flows are kept: the first feasible genome decode of
+    least cost, or ``(penalty, None)`` before one. The penalty lies
+    strictly above every feasible cost, also where the weights are so
+    large that a + 1.0 would be lost to rounding.
     """
 
     def __init__(self, inst: Instance):
@@ -197,34 +200,33 @@ class _SubsetDecoder:
         # 1.0, or 2^-30 of the total where that is larger (from 2^30 on)
         base = sum_left(w for _, _, w in inst.graph.edges) * inst.max_demand()
         self.penalty = base + max(1.0, base * 2**-30)
-        self._cache: dict[tuple[int, ...], _Decoded] = {}
+        self._cache: dict[bytes, float] = {}
         self.best: _Decoded = (self.penalty, None)
 
-    def random_genome(self, rng: np.random.Generator) -> tuple[int, ...]:
+    def random_genome(self, rng: np.random.Generator) -> bytes:
         """A genome of fair coin flips, from one ``rng.integers`` draw."""
-        return tuple(rng.integers(0, 2, size=len(self.free)).tolist())
+        return rng.integers(0, 2, size=len(self.free)).astype(np.uint8).tobytes()
 
-    def first_genomes(self, rng: np.random.Generator, count: int) -> list[tuple[int, ...]]:
+    def first_genomes(self, rng: np.random.Generator, count: int) -> list[bytes]:
         """The seeded start: the all-ones genome, which always decodes
         feasibly on a valid instance and is decoded here, followed by
         ``count - 1`` random genomes."""
-        all_ones = (1,) * len(self.free)
+        all_ones = b"\x01" * len(self.free)
         genomes = [all_ones] + [self.random_genome(rng) for _ in range(count - 1)]
-        self.decode(all_ones)
+        self.cost(all_ones)
         return genomes
 
-    def decode(self, genome: tuple[int, ...]) -> _Decoded:
-        """(cost, flows) for a genome; (penalty, None) when infeasible."""
-        hit = self._cache.get(genome)
-        if hit is not None:
-            return hit
-        mask = self._required.copy()
-        mask[self.free[np.array(genome, dtype=bool)]] = True
-        result = self.decode_mask(mask, len(self.inst.terminals) + 1 + sum(genome))
-        self._cache[genome] = result
-        if result[1] is not None and (self.best[1] is None or result[0] < self.best[0]):
-            self.best = result
-        return result
+    def cost(self, genome: bytes) -> float:
+        """The decoded cost of a genome; the penalty when infeasible."""
+        cost = self._cache.get(genome)
+        if cost is None:
+            mask = self._required.copy()
+            mask[self.free[np.frombuffer(genome, dtype=bool)]] = True
+            cost, flows = self.decode_mask(mask, len(self.inst.terminals) + 1 + genome.count(1))
+            self._cache[genome] = cost
+            if flows is not None and (self.best[1] is None or cost < self.best[0]):
+                self.best = (cost, flows)
+        return cost
 
     def decode_mask(self, mask: np.ndarray, count: int) -> _Decoded:
         """(cost, flows) for the ``count`` nodes set in a boolean node mask."""
@@ -269,20 +271,18 @@ def solve_ga(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSoluti
     length = len(decoder.free)
     population = decoder.first_genomes(rng, p.population)
     for _ in range(p.iterations):
-        fits = [decoder.decode(genome)[0] for genome in population]
+        fits = [decoder.cost(genome) for genome in population]
         elite = min(range(len(population)), key=lambda i: (fits[i], i))
         children = [population[elite]]
         while len(children) < p.population:
             a = population[_tournament(rng, fits, p.tournament_size)]
             b = population[_tournament(rng, fits, p.tournament_size)]
-            if length and rng.random() < p.crossover_rate:
-                mix = (rng.random(length) < 0.5).tolist()
-                child = tuple([x if m else y for x, y, m in zip(a, b, mix)])
-            else:
-                child = a
+            child = a
             if length:
-                flips = (rng.random(length) < p.mutation_rate).tolist()
-                child = tuple([x ^ 1 if f else x for x, f in zip(child, flips)])
+                genes = np.frombuffer(a, dtype=bool)
+                if rng.random() < p.crossover_rate:
+                    genes = np.where(rng.random(length) < 0.5, genes, np.frombuffer(b, dtype=bool))
+                child = (genes ^ (rng.random(length) < p.mutation_rate)).tobytes()
             children.append(child)
         population = children
     return make_solution(inst, decoder.best[1], "ga")
@@ -305,23 +305,23 @@ def solve_bco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
     sites = decoder.first_genomes(rng, p.population)
     stale = [0] * p.population
 
-    def flip_one(genome: tuple[int, ...]) -> tuple[int, ...]:
+    def flip_one(genome: bytes) -> bytes:
         if not length:
             return genome
         i = int(rng.integers(0, length))
-        return genome[:i] + (genome[i] ^ 1,) + genome[i + 1 :]
+        return genome[:i] + bytes((genome[i] ^ 1,)) + genome[i + 1 :]
 
     max_scouts = max(1, math.ceil(p.scout_fraction * p.population))
     for _ in range(p.iterations):
         for i in range(p.population):
-            cost = decoder.decode(sites[i])[0]
+            cost = decoder.cost(sites[i])
             trial = flip_one(sites[i])
-            if decoder.decode(trial)[0] < cost:
+            if decoder.cost(trial) < cost:
                 sites[i] = trial
                 stale[i] = 0
             else:
                 stale[i] += 1
-        costs = [decoder.decode(s)[0] for s in sites]
+        costs = [decoder.cost(s) for s in sites]
         weights = [1.0 / (1.0 + c) for c in costs]
         total = sum_left(weights)
         for _ in range(p.population):
@@ -332,7 +332,7 @@ def solve_bco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
                 j += 1
                 acc += weights[j]
             trial = flip_one(sites[j])
-            t_cost = decoder.decode(trial)[0]
+            t_cost = decoder.cost(trial)
             if t_cost < costs[j]:
                 sites[j] = trial
                 costs[j] = t_cost
@@ -487,6 +487,13 @@ def solve_aco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
         powered = (x ** alpha * d for x, d in zip(pheromone, desir))
         weight = _edge_values(ends, powered, "hop weight")
         hops = [[(v, i, weight[i]) for v, i in nb] for nb in incident]
+        # a walk's total over the unvisited hops never exceeds the full one
+        for u, nb in enumerate(hops):
+            if sum_left(hop[2] for hop in nb) == math.inf:
+                raise ValueError(
+                    f"ACO hop total at node {u} overflows a float; "
+                    "lower pheromone_weight or heuristic_weight"
+                )
         for _ in range(p.ant_count):
             support: set[int] = set()
             for t in terminals:

@@ -53,6 +53,14 @@ def oversized_instance():
     )
 
 
+def overflowing_star_instance(count: int = 6):
+    """Source 0 joined to ``count`` leaves by weight-1e-3 edges and to the
+    terminal 7 by a weight-1 edge. At beta 102.5 each light edge's hop
+    weight is 3.16e307, so six of them total more than a float holds."""
+    edges = tuple((0, v, 1e-3) for v in range(1, count + 1)) + ((0, 7, 1.0),)
+    return Instance(graph=Graph(8, edges), source=0, terminals={7: 1.0})
+
+
 def child_env() -> dict:
     """Environment for a child Python that imports the ostflow under test.
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from ostflow import (
     solve_ost,
     solve_sp_union,
 )
+from ostflow import baselines
 from ostflow.baselines import _ant_walk, _Draws, _SubsetDecoder
 from ostflow.model import sum_left
 
@@ -29,6 +31,7 @@ from helpers import (
     decode_node_subset,
     flows_close,
     golden_instance,
+    overflowing_star_instance,
     reference_ant_walk,
     reference_uniform_draws,
     solution_fingerprint,
@@ -212,6 +215,16 @@ def test_aco_weight_overflow_names_the_edge():
     assert close(solve_aco(inst, MetaheuristicParams(iterations=2, heuristic_weight=102.0)).cost, 1.001)
 
 
+def test_aco_hop_total_overflow_names_the_node():
+    # every hop weight is finite (3.16e307), but six of them at the source
+    # add up to inf, which would leave a walk's draw at r * inf
+    params = MetaheuristicParams(iterations=3, pheromone_weight=0.0, heuristic_weight=102.5)
+    with pytest.raises(ValueError, match=r"^ACO hop total at node 0 overflows a float; "):
+        solve_aco(overflowing_star_instance(), params)
+    # five of them still fit in a float
+    assert close(solve_aco(overflowing_star_instance(5), params).cost, 1.0)
+
+
 def test_baselines_match_golden_table():
     # repr(cost) and document SHA-256 of every baseline, recorded by
     # tests/record_baseline_golden.py: a seed must reproduce its run bit
@@ -235,33 +248,63 @@ def test_sum_left_adds_left_to_right():
 
 
 def test_decoder_start_and_incumbent():
-    # free nodes 2, 3, 4 in genome order; 0-2-1 is the cheapest route to
-    # terminal 1, and node 4 hangs off free node 3
+    # free nodes 2, 3, 4 in genome order, one byte each; 0-2-1 is the
+    # cheapest route to terminal 1, and node 4 hangs off free node 3
     edges = ((0, 1, 1.0), (0, 2, 0.1), (1, 2, 0.1), (0, 3, 0.5), (3, 4, 0.5))
     inst = Instance(Graph(5, edges), source=0, terminals={1: 1.0})
     decoder = _SubsetDecoder(inst)
     assert decoder.best == (decoder.penalty, None)
     rng, twin = (np.random.Generator(np.random.PCG64(5)) for _ in range(2))
     genomes = decoder.first_genomes(rng, 4)
-    assert genomes[0] == (1, 1, 1)
-    assert genomes[1:] == [tuple(twin.integers(0, 2, size=3).tolist()) for _ in range(3)]
-    assert decoder.random_genome(rng) == tuple(twin.integers(0, 2, size=3).tolist())
+    assert genomes[0] == b"\x01\x01\x01"
+    assert genomes[1:] == [bytes(twin.integers(0, 2, size=3).tolist()) for _ in range(3)]
+    assert decoder.random_genome(rng) == bytes(twin.integers(0, 2, size=3).tolist())
     first = decoder.best
-    assert first is decoder.decode((1, 1, 1)) and close(first[0], 0.2)
+    assert first[1] == {(0, 2): 1.0, (2, 1): 1.0} and close(first[0], 0.2)
+    assert decoder.cost(b"\x01\x01\x01") == first[0]
     # equal cost, dearer, infeasible: none replaces the first least-cost decode
-    assert decoder.decode((1, 0, 0))[0] == first[0]
-    assert decoder.decode((0, 0, 0))[1] is not None
-    assert decoder.decode((0, 0, 1)) == (decoder.penalty, None)
+    assert decoder.cost(b"\x01\x00\x00") == first[0]
+    assert close(decoder.cost(b"\x00\x00\x00"), 1.0)
+    assert decoder.cost(b"\x00\x00\x01") == decoder.penalty
     assert decoder.best is first
     # an infeasible decode never becomes the incumbent, even with none yet
     fresh = _SubsetDecoder(inst)
-    fresh.decode((0, 0, 1))
+    assert fresh.cost(b"\x00\x00\x01") == fresh.penalty
     assert fresh.best == (fresh.penalty, None)
     # where a + 1.0 would be lost to rounding, the penalty still lies
     # strictly above a feasible cost
     big = _SubsetDecoder(Instance(Graph(2, ((0, 1, 1e17),)), source=0, terminals={1: 1.0}))
-    big.first_genomes(rng, 1)
+    assert big.first_genomes(rng, 1) == [b""]
     assert big.best[1] == {(0, 1): 1.0} and big.best[0] < big.penalty
+
+
+def test_decoder_cache_holds_costs_only(monkeypatch):
+    # genomes are bytes and the cache keeps a float per genome, never the
+    # decoded flows: tracemalloc peaks of one seeded run each, n=200, K=8.
+    # When the cache mapped int tuples to (cost, flows) they read 1155 KiB
+    # (GA) and 1421 KiB (BCO); with bytes and costs 164 and 238 KiB
+    decoders = []
+
+    class Recorded(_SubsetDecoder):
+        def __init__(self, inst):
+            super().__init__(inst)
+            decoders.append(self)
+
+    monkeypatch.setattr(baselines, "_SubsetDecoder", Recorded)
+    inst = generate_instance(GenConfig(node_count=200, avg_degree=4, terminal_count=8, seed=1))
+    params = MetaheuristicParams(population=20, iterations=20)
+    for solver, bound in ((solve_ga, 320), (solve_bco, 384)):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solver(inst, params)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        cache = decoders[-1]._cache
+        assert len(cache) > 300
+        assert {(type(k), type(v)) for k, v in cache.items()} == {(bytes, float)}
+        assert peak <= bound * 1024, (solver.__name__, peak)
 
 
 def _random_hops(rng, n: int, rule: str, alpha: float):

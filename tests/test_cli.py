@@ -19,7 +19,7 @@ from ostflow import (
 from ostflow.cli import _gen_config, _metaheuristic_params, _sweep_config, build_parser, main
 from ostflow.registry import SOLVERS
 
-from helpers import child_env, close, oversized_instance
+from helpers import child_env, close, overflowing_star_instance, oversized_instance
 
 
 @pytest.fixture
@@ -159,6 +159,16 @@ def test_solve_bad_aco_weight_exits_1(capsys, w1_path, flag, value, message):
     code, out, err = run(capsys, "solve", "--instance", w1_path, "--algorithm", "aco", flag, value)
     assert code == 1 and out == ""
     assert err == f"ostflow: {message}\n"
+
+
+def test_solve_aco_hop_total_overflow_exits_1(capsys, tmp_path):
+    path = tmp_path / "star.json"
+    path.write_text(serialize_instance(overflowing_star_instance()))
+    code, out, err = run(capsys, "solve", "--instance", path, "--algorithm", "aco",
+                         "--aco-alpha", "0", "--aco-beta", "102.5")
+    assert code == 1 and out == ""
+    assert err == ("ostflow: ACO hop total at node 0 overflows a float; "
+                   "lower pheromone_weight or heuristic_weight\n")
 
 
 def test_solve_oversized_state_space_exits_1(capsys, tmp_path):
