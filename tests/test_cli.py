@@ -18,6 +18,7 @@ from ostflow import (
 )
 from ostflow.cli import _gen_config, _metaheuristic_params, _sweep_config, build_parser, main
 from ostflow.registry import SOLVERS
+from ostflow.solver import STATE_BYTES
 
 from helpers import child_env, close, overflowing_star_instance, oversized_instance
 
@@ -177,7 +178,7 @@ def test_solve_oversized_state_space_exits_1(capsys, tmp_path):
     code, out, err = run(capsys, "solve", "--instance", path, "--algorithm", "ost")
     assert code == 1 and out == ""
     assert err.startswith("ostflow: state space too large: 41 nodes x 2^40 terminal subsets")
-    assert f"({41 * 2**40 * 13} bytes)" in err
+    assert f"({41 * 2**40 * STATE_BYTES} bytes)" in err
 
 
 def test_unknown_flag_rejected(capsys, w1_path):

@@ -29,6 +29,7 @@ from ostflow.solver import (
     EXTEND,
     LEAF,
     MERGE,
+    STATE_BYTES,
     UNSET,
     decision,
     dp_grow,
@@ -125,7 +126,6 @@ def test_dp_merge_ties_take_the_first_split_on_strict_improvement():
         assert table.cost[0b111, v] == 3.0
         assert table.kind[0b111, v] == MERGE
         assert decision(table, v, 0b111) == 0b001  # lowest of 0b001, 0b011, 0b101
-    assert table.kind[0b111, 2] == UNSET
 
 
 def test_dp_grow_full_mask_reaches_optimum(w1):
@@ -172,8 +172,8 @@ def test_solve_ost_infeasible_raises_with_report():
 
 
 def test_solve_ost_refuses_table_larger_than_memory():
-    # 41 nodes x 2^40 subsets x 13 bytes; refused before anything is allocated
-    need = 41 * 2**40 * 13
+    # 41 nodes x 2^40 subsets x STATE_BYTES; refused before anything is allocated
+    need = 41 * 2**40 * STATE_BYTES
     with pytest.raises(InstanceError) as exc:
         solve_ost(oversized_instance())
     message = str(exc.value)
@@ -182,11 +182,12 @@ def test_solve_ost_refuses_table_larger_than_memory():
 
 
 def test_table_memory_bound_is_inclusive(w1, monkeypatch):
-    # w1: 4 nodes x 2^2 subsets x 13 bytes = 208 bytes
-    monkeypatch.setattr(ostflow.solver, "_physical_memory", lambda: 207)
-    with pytest.raises(InstanceError, match=r"\(208 bytes\), more than the"):
+    # w1: 4 nodes x 2^2 subsets x STATE_BYTES (12 bytes: 192)
+    need = 4 * 2**2 * STATE_BYTES
+    monkeypatch.setattr(ostflow.solver, "_physical_memory", lambda: need - 1)
+    with pytest.raises(InstanceError, match=rf"\({need} bytes\), more than the"):
         solve_ost(w1)
-    monkeypatch.setattr(ostflow.solver, "_physical_memory", lambda: 208)
+    monkeypatch.setattr(ostflow.solver, "_physical_memory", lambda: need)
     assert close(solve_ost(w1).cost, W1_OPT_COST)
 
 
@@ -202,6 +203,15 @@ def test_reconstruct_unreachable_state_errors(w1):
         reconstruct(table, w1, 0, FULL)
 
 
+def test_decision_refuses_an_unreached_state_of_two_terminals(w1):
+    # every split of an unreached state can have unreached halves, and
+    # inf + inf == inf: the state still reads UNSET and has no decision
+    table = dp_init(w1)
+    assert table.kind[FULL, 0] == UNSET
+    with pytest.raises(ValueError, match=r"^inconsistent table: .* \(node 0, subset 0x3\)$"):
+        decision(table, 0, FULL)
+
+
 def test_reconstruct_refuses_a_record_cycle(w1):
     # hand-made records: (0, D1) and (1, D1) are EXTEND states changed in
     # the same sweep, at a value so large that edge 0-1 adds nothing to it;
@@ -209,7 +219,6 @@ def test_reconstruct_refuses_a_record_cycle(w1):
     # neither is the other's predecessor
     table = dp_init(w1)
     table.cost[D1, [0, 1]] = 1e17
-    table.kind[D1, [0, 1]] = EXTEND
     table.arg[D1, [0, 1]] = 1
     with pytest.raises(ValueError, match=r"reproduces the cost at \(node 0, subset 0x1\)$"):
         reconstruct(table, w1, 0, D1)
@@ -249,8 +258,8 @@ BATCH_CASES = [(12, 3, 4, 1), (20, 3, 5, 2), (40, 4, 6, 3), (25, 2.2, 6, 4), (60
 
 
 def _assert_same_tables(a, b):
+    # cost and arg determine every state's kind
     assert a.cost.tobytes() == b.cost.tobytes()
-    assert a.kind.tobytes() == b.kind.tobytes()
     assert a.arg.tobytes() == b.arg.tobytes()
 
 
@@ -265,7 +274,7 @@ def test_layer_calls_match_per_subset_calls(n, degree, k, seed):
 def _best_first_grow(table, inst: Instance, subset: int) -> dict[int, int]:
     """Reference grow for one subset: a heapq Dijkstra seeded with every
     finite entry; ties settle lower node ids first and only a strict
-    improvement records EXTEND. Returns each improved node's predecessor."""
+    improvement counts. Returns each improved node's predecessor."""
     xm = table.xmax[subset]
     dist = table.cost[subset].tolist()
     heap = [(d, v) for v, d in enumerate(dist) if d < math.inf]
@@ -283,7 +292,6 @@ def _best_first_grow(table, inst: Instance, subset: int) -> dict[int, int]:
                 improved[u] = v
                 heapq.heappush(heap, (dist[u], u))
     table.cost[subset] = dist
-    table.kind[subset, list(improved)] = EXTEND
     return improved
 
 
@@ -314,9 +322,12 @@ def test_grow_matches_best_first_records(n, degree, k, seed, integer_weights):
             predecessor[subset] = _best_first_grow(reference, inst, subset)
     table = _filled(inst, per_subset=False)
     assert table.cost.tobytes() == reference.cost.tobytes()
-    assert table.kind.tobytes() == reference.kind.tobytes()
-    for subset, node in zip(*map(np.ndarray.tolist, np.nonzero(table.kind >= MERGE))):
-        if table.kind[subset, node] == EXTEND:
+    for subset in range(1, 1 << k):
+        # grow's sweep record is nonzero exactly at the states it improved
+        assert np.flatnonzero(table.arg[subset] > 0).tolist() == sorted(predecessor[subset])
+    kinds = table.kind
+    for subset, node in zip(*map(np.ndarray.tolist, np.nonzero(kinds >= MERGE))):
+        if kinds[subset, node] == EXTEND:
             expected = predecessor[subset][node]
         else:
             expected = _first_least_split(table.cost, node, subset)
