@@ -9,7 +9,6 @@ at least its demanded rate from the source.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 
@@ -97,15 +96,15 @@ class Graph:
 
     def reachable_from(self, start: int) -> set[int]:
         """Nodes reachable from ``start`` by BFS."""
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
+        seen = [False] * self.node_count
+        seen[start] = True
+        order = [start]
+        for u in order:  # the loop reads the nodes it appends
             for v, _ in self.adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
+                if not seen[v]:
+                    seen[v] = True
+                    order.append(v)
+        return set(order)
 
 
 @dataclass(frozen=True)

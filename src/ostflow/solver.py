@@ -10,15 +10,15 @@ Dreyfus-Wagner recurrence with rate-weighted edges):
 * grow: extend a solution for S across one edge, which carries the
   subset's maximum demand.
 
-Merge at S reads only proper subsets of S and grow at S reads only row S,
-so all subsets of one population count form an antichain: the table is
-filled one popcount layer at a time, merging the whole layer in one
-vectorised step and growing it with a Bellman-Ford that relaxes, sweep
-after sweep, only the arcs leaving nodes whose value just changed. Its
-fixed point is that of a best-first (Dijkstra) pass per subset seeded
-with every finite entry. Both steps work in chunks of CHUNK_ELEMENTS
-elements, and every (subset, split, node), (subset, arc) and (subset,
-node) temporary is a view of one per-solve Workspace that dp_init allocates.
+Merge at S reads only proper subsets of S and grow at S reads only row S, so
+all subsets of one population count form an antichain: the table is filled
+one popcount layer at a time, merging the whole layer in one vectorised step
+and growing it with a Bellman-Ford: each sweep relaxes in place, in all rows
+of a chunk, the arcs leaving nodes that just changed. Its fixed point is
+that of a best-first (Dijkstra) pass per subset seeded with every finite
+entry. Both steps work in chunks of CHUNK_ELEMENTS elements, and every
+(subset, split, node), (subset, arc) and (subset, node) temporary is a view
+of one per-solve Workspace that dp_init allocates.
 
 The optimum for the full terminal set at the source is exact. Each table
 value is at least the cost of the feasible network its decisions
@@ -70,7 +70,8 @@ class Workspace:
     first two hold ``budget`` elements, the solve's largest chunk: merge's
     two (subset, split, node) arrays, then grow's two (subset, arc) arrays
     on the same pages. The rest, and ``flag``, hold ``rows``, the largest
-    (subset, node) or (subset, split) array of a chunk.
+    (subset, node) or (subset, split) array of a chunk: a grow chunk's rows
+    stay in place there for its whole grow (see ``_grow_chunk``).
     """
 
     def __init__(self, budget: int, rows: int):
@@ -262,8 +263,8 @@ def dp_grow(table: DpTable, subsets) -> None:
     changed: nonzero exactly where the value fell below its seed (EXTEND).
 
     ``subsets`` is a 1-d sequence of masks whose rows are merged, not yet
-    grown; rows are grown in chunks of at most the table's chunk budget of
-    (subset, arc) and (subset, node) pairs, or one row, in its workspace.
+    grown; each is grown once, in place in chunks of at most the table's
+    chunk budget of (subset, arc) and (subset, node) pairs, or one row.
     """
     subsets = np.asarray(subsets, dtype=np.int64)
     if not (subsets.size and table.arcs[0].size):
@@ -281,45 +282,45 @@ def _view(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _take(array: np.ndarray, indices: np.ndarray, buffer: np.ndarray,
-          shape: tuple[int, ...], axis: int | None = 0) -> np.ndarray:
-    """``np.take`` into a workspace buffer. The indices are in range, so
-    ``clip`` mode changes nothing but skips the default mode's temporary
+          shape: tuple[int, ...]) -> np.ndarray:
+    """Rows of ``array`` into a workspace buffer. The indices are in range,
+    so ``clip`` mode changes nothing but skips the default mode's temporary
     copy of the output."""
-    return np.take(array, indices, axis=axis, out=_view(buffer, shape), mode="clip")
+    return np.take(array, indices, axis=0, out=_view(buffer, shape), mode="clip")
 
 
 def _grow_chunk(table: DpTable, subsets: np.ndarray, xmax: np.ndarray) -> None:
-    """Bellman-Ford over the rows of ``subsets``; an arc costs xmax(S) * w in row S."""
+    """Bellman-Ford over the rows of ``subsets``; an arc costs xmax(S) * w in row S.
+
+    Workspace: real[2] the (c, n) values, grown in place; real[3] the values
+    before the sweep; real[4] as int32 the sweep record; real[0] a sweep's
+    (c, arcs) candidates; real[1] their arc costs, then their flat heads.
+    A converged row or an unmoved tail changes nothing: its candidates were
+    applied when the tail last fell, and values only fall.
+    """
     src, dst, weight = table.arcs
     ws = table.workspace
     c, n = len(subsets), table.cost.shape[1]
-    value = _take(table.cost, subsets, ws.real[2], (c, n))
-    # sweep of each node's last change, and scratch for writing it
-    sweep_of, scratch = _view(ws.real[4].view(np.int32), (2, c, n))
+    flat, cand, aux = ws.real[2][:c * n], ws.real[0], ws.real[1]
+    value = table.cost.take(subsets, axis=0, out=flat.reshape(c, n), mode="clip")
+    before, better = ws.real[3][:c * n].reshape(c, n), ws.flag[:c * n].reshape(c, n)
+    sweep_of = ws.real[4].view(np.int32)[:c * n].reshape(c, n)
     sweep_of.fill(0)
-    rows = np.arange(c)
-    moved = np.isfinite(value, out=_view(ws.flag, (c, n))).any(axis=0)
+    moved = np.isfinite(value, out=better).any(axis=0)
+    step, offset = xmax[:, None], (np.arange(c) * n)[:, None]
     sweep = 0
-    while rows.size:
+    while (arcs := np.flatnonzero(moved[src])).size:
         sweep += 1
-        arcs = np.flatnonzero(moved[src])
-        shape = (rows.size, arcs.size)
-        current = _take(value, rows, ws.real[3], (rows.size, n))
-        candidates = _take(current, src[arcs], ws.real[0], shape, axis=1)
-        step = np.multiply(xmax[rows][:, None], weight[arcs], out=_view(ws.real[1], shape))
-        np.add(candidates, step, out=candidates)
+        size = c * arcs.size
+        candidates = value.take(src[arcs], axis=1, out=cand[:size].reshape(c, -1), mode="clip")
+        candidates += np.multiply(step, weight[arcs], out=aux[:size].reshape(c, -1))
         # each row's least arrival at each head, into the row itself
-        index = np.add((np.arange(rows.size) * n)[:, None], dst[arcs],
-                       out=_view(ws.real[1].view(np.intp), shape))
-        np.minimum.at(current.reshape(-1), index.reshape(-1), candidates.reshape(-1))
-        better = np.less(current, _take(value, rows, ws.real[0], current.shape),
-                         out=_view(ws.flag, current.shape))
-        value[rows] = current
-        last = _take(sweep_of, rows, scratch, better.shape)
-        np.copyto(last, sweep, where=better)
-        sweep_of[rows] = last
+        index = np.add(offset, dst[arcs], out=aux.view(np.intp)[:size].reshape(c, -1))
+        np.copyto(before, value)
+        np.minimum.at(flat, index.reshape(-1), candidates.reshape(-1))
+        np.less(value, before, out=better)
+        np.copyto(sweep_of, sweep, where=better)
         moved = better.any(axis=0)
-        rows = rows[better.any(axis=1)]
     table.cost[subsets] = value
     table.arg[subsets] = sweep_of
 

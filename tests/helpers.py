@@ -233,3 +233,35 @@ def tie_golden_instance(spec: dict):
         weights = [round(w, digits) for w in weights]
     edges = tuple((u, v, w) for (u, v, _), w in zip(inst.graph.edges, weights))
     return replace(inst, graph=Graph(inst.graph.node_count, edges))
+
+
+def reference_grow_chunk(table, subsets: np.ndarray, xmax: np.ndarray) -> None:
+    """Grow of one chunk as a row-compacting Bellman-Ford, kept as the
+    reference for ``solver._grow_chunk``: each sweep gathers the rows that
+    changed in the sweep before, relaxes the arcs leaving the nodes that
+    changed into that copy, and scatters it back. Both must leave the
+    same ``cost`` and ``arg`` bits."""
+    src, dst, weight = table.arcs
+    c, n = len(subsets), table.cost.shape[1]
+    value = table.cost[subsets]
+    sweep_of = np.zeros((c, n), dtype=np.int32)
+    rows = np.arange(c)
+    moved = np.isfinite(value).any(axis=0)
+    sweep = 0
+    while rows.size:
+        sweep += 1
+        arcs = np.flatnonzero(moved[src])
+        current = value[rows]
+        candidates = current[:, src[arcs]]
+        np.add(candidates, xmax[rows][:, None] * weight[arcs], out=candidates)
+        index = (np.arange(rows.size) * n)[:, None] + dst[arcs]
+        np.minimum.at(current.reshape(-1), index.reshape(-1), candidates.reshape(-1))
+        better = current < value[rows]
+        value[rows] = current
+        last = sweep_of[rows]
+        np.copyto(last, sweep, where=better)
+        sweep_of[rows] = last
+        moved = better.any(axis=0)
+        rows = rows[better.any(axis=1)]
+    table.cost[subsets] = value
+    table.arg[subsets] = sweep_of

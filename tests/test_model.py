@@ -41,6 +41,15 @@ def test_graph_rejects_bad_edges(edges, message):
         Graph(3, edges)
 
 
+def test_reachable_from_returns_the_start_component_only():
+    # components {0, 1, 2} and {3, 4}, and the isolated node 5
+    g = Graph(6, ((0, 1, 0.5), (1, 2, 0.7), (3, 4, 0.2)))
+    assert g.reachable_from(0) == {0, 1, 2}
+    assert g.reachable_from(2) == {0, 1, 2}
+    assert g.reachable_from(4) == {3, 4}
+    assert g.reachable_from(5) == {5}
+
+
 def test_graph_rejects_nonpositive_node_count():
     with pytest.raises(InstanceError):
         Graph(0, ())

@@ -45,6 +45,7 @@ from helpers import (
     close,
     flows_close,
     oversized_instance,
+    reference_grow_chunk,
     slow,
     solution_fingerprint,
     tie_golden_instance,
@@ -345,6 +346,52 @@ def test_tables_do_not_depend_on_chunk_size(n, degree, k, seed, monkeypatch):
     # one subset (and one split) per chunk
     monkeypatch.setattr(ostflow.solver, "CHUNK_ELEMENTS", 1)
     _assert_same_tables(whole, _filled(inst, per_subset=False))
+
+
+@pytest.mark.parametrize("chunk", [ostflow.solver.CHUNK_ELEMENTS, 1])
+def test_grow_matches_row_compacting_reference(chunk, monkeypatch):
+    # the in-place grow relaxes converged rows and unmoved tails too; the
+    # sweep record in arg, not only the documents, must come out the same
+    monkeypatch.setattr(ostflow.solver, "CHUNK_ELEMENTS", chunk)
+    insts = [generate_instance(GenConfig(node_count=n, avg_degree=d, terminal_count=k, seed=s))
+             for n, d, k, s in BATCH_CASES]
+    insts += [tie_golden_instance(row["instance"]) for row in json.loads(TIE_GOLDEN.read_text())]
+    for inst in insts:
+        table = _filled(inst, per_subset=False)
+        with monkeypatch.context() as patch:
+            patch.setattr(ostflow.solver, "_grow_chunk", reference_grow_chunk)
+            _assert_same_tables(table, _filled(inst, per_subset=False))
+
+
+def _path_table():
+    """Table of the path 0-1-...-5, source 2, terminals 0 (D1) and 5 (D2)."""
+    edges = tuple((v, v + 1, 0.1 * (v + 1)) for v in range(5))
+    return dp_init(Instance(graph=Graph(6, edges), source=2, terminals={0: 0.25, 5: 1.0}))
+
+
+def test_dp_grow_returns_at_once_on_an_unreached_row():
+    table = _path_table()
+    table.cost[FULL] = math.inf
+    table.arg[FULL] = 7
+    table.workspace.real[0].fill(-1.0)
+    dp_grow(table, [FULL])
+    assert np.isinf(table.cost[FULL]).all()
+    assert not table.arg[FULL].any()
+    # no sweep gathered a candidate
+    assert (table.workspace.real[0] == -1.0).all()
+
+
+def test_dp_grow_chunk_with_a_settled_row_matches_growing_each_alone():
+    together, alone = _path_table(), _path_table()
+    for table in (together, alone):
+        dp_grow(table, [D1])
+    dp_grow(together, [D1, D2])
+    for subset in (D1, D2):
+        dp_grow(alone, [subset])
+    _assert_same_tables(together, alone)
+    # D1 was at its fixed point; D2 falls from node 5 to node 0 in five sweeps
+    assert not together.arg[D1].any()
+    assert together.arg[D2].tolist() == [5, 4, 3, 2, 1, 0]
 
 
 def test_workspace_bounds_solve_memory():
