@@ -10,9 +10,9 @@ GA and BCO share a genotype: ``bytes`` with one 0/1 byte per free node
 (nodes in the source's component that are neither source nor terminal).
 A genome decodes to the minimum spanning tree of the induced subgraph,
 pruned of non-required leaves, with each edge carrying the largest demand
-below it; MST is the decode of every node. The decoder caches each
-genome's cost only; the incumbent alone keeps its flows. ACO builds one
-guided path per terminal and merges the paths instead.
+below it; MST is the decode of every node. The decoder memoises nothing:
+it keeps only the incumbent, and BCO carries its sites' costs itself. ACO
+builds one guided path per terminal and merges the paths instead.
 """
 
 from __future__ import annotations
@@ -172,14 +172,14 @@ _Decoded = tuple[float, dict[tuple[int, int], float] | None]
 
 
 class _SubsetDecoder:
-    """Decode node subsets into flow solutions, caching the cost by genome.
+    """Decode node subsets into flow solutions, keeping only the incumbent.
 
     A genome is ``bytes``, one 0/1 byte per free node. The decoded
     solution is the pruned MST of the induced subgraph with demand-law
-    flows, or None when the induced subgraph is disconnected. The cache
-    maps a genome to its cost alone; ``best`` is the incumbent and the
-    only decode whose flows are kept: the first feasible genome decode of
-    least cost, or ``(penalty, None)`` before one. The penalty lies
+    flows, or None when the induced subgraph is disconnected. Nothing is
+    memoised: every ``cost`` call decodes. ``best`` is the incumbent and
+    the only decode whose flows are kept: the first feasible genome decode
+    of least cost, or ``(penalty, None)`` before one. The penalty lies
     strictly above every feasible cost, also where the weights are so
     large that a + 1.0 would be lost to rounding.
     """
@@ -200,7 +200,6 @@ class _SubsetDecoder:
         # 1.0, or 2^-30 of the total where that is larger (from 2^30 on)
         base = sum_left(w for _, _, w in inst.graph.edges) * inst.max_demand()
         self.penalty = base + max(1.0, base * 2**-30)
-        self._cache: dict[bytes, float] = {}
         self.best: _Decoded = (self.penalty, None)
 
     def random_genome(self, rng: np.random.Generator) -> bytes:
@@ -209,23 +208,18 @@ class _SubsetDecoder:
 
     def first_genomes(self, rng: np.random.Generator, count: int) -> list[bytes]:
         """The seeded start: the all-ones genome, which always decodes
-        feasibly on a valid instance and is decoded here, followed by
-        ``count - 1`` random genomes."""
+        feasibly on a valid instance, followed by ``count - 1`` random
+        genomes; none is decoded here."""
         all_ones = b"\x01" * len(self.free)
-        genomes = [all_ones] + [self.random_genome(rng) for _ in range(count - 1)]
-        self.cost(all_ones)
-        return genomes
+        return [all_ones] + [self.random_genome(rng) for _ in range(count - 1)]
 
     def cost(self, genome: bytes) -> float:
         """The decoded cost of a genome; the penalty when infeasible."""
-        cost = self._cache.get(genome)
-        if cost is None:
-            mask = self._required.copy()
-            mask[self.free[np.frombuffer(genome, dtype=bool)]] = True
-            cost, flows = self.decode_mask(mask, len(self.inst.terminals) + 1 + genome.count(1))
-            self._cache[genome] = cost
-            if flows is not None and (self.best[1] is None or cost < self.best[0]):
-                self.best = (cost, flows)
+        mask = self._required.copy()
+        mask[self.free[np.frombuffer(genome, dtype=bool)]] = True
+        cost, flows = self.decode_mask(mask, len(self.inst.terminals) + 1 + genome.count(1))
+        if flows is not None and cost < self.best[0]:
+            self.best = (cost, flows)
         return cost
 
     def decode_mask(self, mask: np.ndarray, count: int) -> _Decoded:
@@ -295,14 +289,15 @@ def solve_bco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
     proportion to inverse cost, and scouts reinitialize the stalest sites
     once they exceed the abandonment limit (at most a scout_fraction of
     the population per iteration). The sites start from the decoder's
-    seeded start, scouts draw the decoder's random genomes, and the result
-    is the decoder's incumbent."""
+    seeded start, scouts draw the decoder's random genomes (decoded in the
+    next employed pass), and the result is the decoder's incumbent."""
     require_feasible(inst)
     p = p or MetaheuristicParams()
     decoder = _SubsetDecoder(inst)
     rng = np.random.Generator(np.random.PCG64(p.seed))
     length = len(decoder.free)
     sites = decoder.first_genomes(rng, p.population)
+    costs: list[float | None] = [None] * p.population
     stale = [0] * p.population
 
     def flip_one(genome: bytes) -> bytes:
@@ -314,14 +309,16 @@ def solve_bco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
     max_scouts = max(1, math.ceil(p.scout_fraction * p.population))
     for _ in range(p.iterations):
         for i in range(p.population):
-            cost = decoder.cost(sites[i])
+            if costs[i] is None:
+                costs[i] = decoder.cost(sites[i])
             trial = flip_one(sites[i])
-            if decoder.cost(trial) < cost:
+            t_cost = decoder.cost(trial)
+            if t_cost < costs[i]:
                 sites[i] = trial
+                costs[i] = t_cost
                 stale[i] = 0
             else:
                 stale[i] += 1
-        costs = [decoder.cost(s) for s in sites]
         weights = [1.0 / (1.0 + c) for c in costs]
         total = sum_left(weights)
         for _ in range(p.population):
@@ -347,6 +344,7 @@ def solve_bco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
         )
         for i in stuck[:max_scouts]:
             sites[i] = decoder.random_genome(rng)
+            costs[i] = None
             stale[i] = 0
     return make_solution(inst, decoder.best[1], "bco")
 

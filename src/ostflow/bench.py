@@ -51,6 +51,8 @@ class SweepConfig:
             raise ValueError("values must be strictly increasing")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if self.ost_terminal_cap < 0:
+            raise ValueError(f"ost_terminal_cap must be >= 0, got {self.ost_terminal_cap}")
         unknown = [a for a in self.algorithms if a not in SOLVERS]
         if unknown:
             raise ValueError(f"unknown algorithm(s): {unknown}")

@@ -20,7 +20,6 @@ from ostflow import (
     solve_ost,
     solve_sp_union,
 )
-from ostflow import baselines
 from ostflow.baselines import _ant_walk, _Draws, _SubsetDecoder
 from ostflow.model import sum_left
 
@@ -259,6 +258,9 @@ def test_decoder_start_and_incumbent():
     assert genomes[0] == b"\x01\x01\x01"
     assert genomes[1:] == [bytes(twin.integers(0, 2, size=3).tolist()) for _ in range(3)]
     assert decoder.random_genome(rng) == bytes(twin.integers(0, 2, size=3).tolist())
+    # the seeded start decodes nothing; its first genome's decode does
+    assert decoder.best == (decoder.penalty, None)
+    decoder.cost(genomes[0])
     first = decoder.best
     assert first[1] == {(0, 2): 1.0, (2, 1): 1.0} and close(first[0], 0.2)
     assert decoder.cost(b"\x01\x01\x01") == first[0]
@@ -275,36 +277,28 @@ def test_decoder_start_and_incumbent():
     # strictly above a feasible cost
     big = _SubsetDecoder(Instance(Graph(2, ((0, 1, 1e17),)), source=0, terminals={1: 1.0}))
     assert big.first_genomes(rng, 1) == [b""]
+    assert big.best == (big.penalty, None)
+    assert big.cost(b"") < big.penalty
     assert big.best[1] == {(0, 1): 1.0} and big.best[0] < big.penalty
 
 
-def test_decoder_cache_holds_costs_only(monkeypatch):
-    # genomes are bytes and the cache keeps a float per genome, never the
-    # decoded flows: tracemalloc peaks of one seeded run each, n=200, K=8.
-    # When the cache mapped int tuples to (cost, flows) they read 1155 KiB
-    # (GA) and 1421 KiB (BCO); with bytes and costs 164 and 238 KiB
-    decoders = []
-
-    class Recorded(_SubsetDecoder):
-        def __init__(self, inst):
-            super().__init__(inst)
-            decoders.append(self)
-
-    monkeypatch.setattr(baselines, "_SubsetDecoder", Recorded)
+def test_decoder_memory_is_flat_in_iterations():
+    # the decoder keeps only the incumbent's flows, so a solve's memory does
+    # not grow with iterations: tracemalloc peaks of one seeded run each,
+    # n=200, K=8, population 20, read under 72 KiB. A per-genome cost memo
+    # reads 458 (GA) and 870 KiB (BCO) at 80 iterations
     inst = generate_instance(GenConfig(node_count=200, avg_degree=4, terminal_count=8, seed=1))
-    params = MetaheuristicParams(population=20, iterations=20)
-    for solver, bound in ((solve_ga, 320), (solve_bco, 384)):
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            solver(inst, params)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        cache = decoders[-1]._cache
-        assert len(cache) > 300
-        assert {(type(k), type(v)) for k, v in cache.items()} == {(bytes, float)}
-        assert peak <= bound * 1024, (solver.__name__, peak)
+    for iterations in (20, 80):
+        params = MetaheuristicParams(population=20, iterations=iterations)
+        for solver, bound in ((solve_ga, 320), (solve_bco, 384)):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                solver(inst, params)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * 1024, (solver.__name__, iterations, peak)
 
 
 def _random_hops(rng, n: int, rule: str, alpha: float):

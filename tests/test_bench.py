@@ -181,6 +181,9 @@ def test_sweep_config_validation():
         small_cfg(algorithms=("ost", "dijkstra"))
     with pytest.raises(ValueError, match="trials"):
         small_cfg(trials=0)
+    with pytest.raises(ValueError, match="ost_terminal_cap must be >= 0"):
+        small_cfg(ost_terminal_cap=-1)
+    assert small_cfg(ost_terminal_cap=0).ost_terminal_cap == 0
 
 
 def _row(value, seed, algorithm, cost):

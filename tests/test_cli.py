@@ -389,6 +389,17 @@ def test_bench_ost_cap_leaves_improvement_empty(capsys, tmp_path, monkeypatch, c
     assert [r.split(",")[3] for r in rows if ",5," in r] == ["spt", "spt"]
 
 
+def test_bench_negative_ost_cap_exits_1(capsys, tmp_path):
+    csv, summary = tmp_path / "r.csv", tmp_path / "s.csv"
+    code, out, err = run(
+        capsys, "bench", "--sweep", "user-count", "--values", "4", "--trials", 1,
+        "--algorithms", "ost", "--ost-cap", -1, "--csv", csv, "--summary", summary,
+    )
+    assert code == 1 and out == ""
+    assert err == "ostflow: ost_terminal_cap must be >= 0, got -1\n"
+    assert not csv.exists() and not summary.exists()
+
+
 def test_bench_fully_capped_sweep_writes_both_csvs(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("OST_THREADS", "1")
     csv, summary = tmp_path / "r.csv", tmp_path / "s.csv"
