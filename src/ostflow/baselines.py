@@ -10,16 +10,19 @@ GA and BCO share a genotype: ``bytes`` with one 0/1 byte per free node
 (nodes in the source's component that are neither source nor terminal).
 A genome decodes to the minimum spanning tree of the induced subgraph,
 pruned of non-required leaves, with each edge carrying the largest demand
-below it; MST is the decode of every node. The decoder memoises nothing:
-it keeps only the incumbent, and BCO carries its sites' costs itself. ACO
-builds one guided path per terminal and merges the paths instead.
+below it; MST is the decode of the all-ones genome. The decoder memoises
+nothing: it keeps only the incumbent, and GA and BCO carry their own
+costs. ACO builds one guided path per terminal, merges the paths into a
+tree and offers that tree to the same incumbent.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -129,11 +132,12 @@ def solve_mst_prune(inst: Instance) -> FlowSolution:
     subtree, which is exactly what this baseline models.
     """
     require_feasible(inst)
-    n = inst.graph.node_count
-    _, flows = _SubsetDecoder(inst).decode_mask(np.ones(n, dtype=bool), n)
-    if flows is None:
+    decoder = _SubsetDecoder(inst)
+    # the source's component is the source, the terminals and the free nodes
+    if len(decoder.free) + 1 + len(inst.terminals) < inst.graph.node_count:
         raise ValueError("graph is disconnected; spanning tree does not exist")
-    return make_solution(inst, dict.fromkeys(flows, inst.max_demand()), "mst")
+    decoder.cost(b"\x01" * len(decoder.free))
+    return make_solution(inst, dict.fromkeys(decoder.best[1], inst.max_demand()), "mst")
 
 
 def _lexmin_shortest_path_tree(inst: Instance) -> list[tuple[int, int]]:
@@ -168,18 +172,16 @@ def solve_sp_union(inst: Instance) -> FlowSolution:
     return make_solution(inst, flows, "spt")
 
 
-_Decoded = tuple[float, dict[tuple[int, int], float] | None]
-
-
 class _SubsetDecoder:
     """Decode node subsets into flow solutions, keeping only the incumbent.
 
-    A genome is ``bytes``, one 0/1 byte per free node. The decoded
-    solution is the pruned MST of the induced subgraph with demand-law
-    flows, or None when the induced subgraph is disconnected. Nothing is
-    memoised: every ``cost`` call decodes. ``best`` is the incumbent and
-    the only decode whose flows are kept: the first feasible genome decode
-    of least cost, or ``(penalty, None)`` before one. The penalty lies
+    ``edges`` is the graph's Kruskal order, sorted (weight, u, v). A
+    genome is ``bytes``, one 0/1 byte per free node. The decoded solution
+    is the pruned MST of the induced subgraph with demand-law flows, or
+    the penalty when the induced subgraph is disconnected. Nothing is
+    memoised: every ``cost`` call decodes. ``offer`` turns any tree into
+    flows and keeps the incumbent ``best``: the first offered tree of
+    least cost, or ``(penalty, None)`` before one. The penalty lies
     strictly above every feasible cost, also where the weights are so
     large that a + 1.0 would be lost to rounding.
     """
@@ -192,15 +194,14 @@ class _SubsetDecoder:
         self.free = np.array(sorted(reachable - set(required)), dtype=np.intp)
         self._required = np.zeros(n, dtype=bool)
         self._required[required] = True
-        # edge endpoints in Kruskal order (weight, u, v)
-        ordered = sorted((w, u, v) for u, v, w in inst.graph.edges)
-        self._u = np.array([u for _, u, _ in ordered], dtype=np.intp)
-        self._v = np.array([v for _, _, v in ordered], dtype=np.intp)
+        self.edges = sorted((w, u, v) for u, v, w in inst.graph.edges)
+        self._u = np.array([u for _, u, _ in self.edges], dtype=np.intp)
+        self._v = np.array([v for _, _, v in self.edges], dtype=np.intp)
         # the whole graph at max demand plus a margin no rounding can lose:
         # 1.0, or 2^-30 of the total where that is larger (from 2^30 on)
         base = sum_left(w for _, _, w in inst.graph.edges) * inst.max_demand()
         self.penalty = base + max(1.0, base * 2**-30)
-        self.best: _Decoded = (self.penalty, None)
+        self.best: tuple[float, dict[tuple[int, int], float] | None] = (self.penalty, None)
 
     def random_genome(self, rng: np.random.Generator) -> bytes:
         """A genome of fair coin flips, from one ``rng.integers`` draw."""
@@ -217,14 +218,6 @@ class _SubsetDecoder:
         """The decoded cost of a genome; the penalty when infeasible."""
         mask = self._required.copy()
         mask[self.free[np.frombuffer(genome, dtype=bool)]] = True
-        cost, flows = self.decode_mask(mask, len(self.inst.terminals) + 1 + genome.count(1))
-        if flows is not None and cost < self.best[0]:
-            self.best = (cost, flows)
-        return cost
-
-    def decode_mask(self, mask: np.ndarray, count: int) -> _Decoded:
-        """(cost, flows) for the ``count`` nodes set in a boolean node mask."""
-        inst = self.inst
         keep = mask[self._u] & mask[self._v]
         us, vs = self._u[keep], self._v[keep]
         # a selected node on no induced edge disconnects the subgraph
@@ -232,23 +225,27 @@ class _SubsetDecoder:
         touched[us] = True
         touched[vs] = True
         if (mask > touched).any():
-            return (self.penalty, None)
-        tree = _kruskal(inst.graph.node_count, zip(us.tolist(), vs.tolist()), count - 1)
-        if len(tree) != count - 1:
-            return (self.penalty, None)
+            return self.penalty
+        need = len(self.inst.terminals) + genome.count(1)
+        tree = _kruskal(len(mask), zip(us.tolist(), vs.tolist()), need)
+        return self.offer(tree) if len(tree) == need else self.penalty
+
+    def offer(self, tree: list[tuple[int, int]]) -> float:
+        """The cost of a tree's demand-law flows; the tree becomes the
+        incumbent when that cost is strictly below the incumbent's."""
+        inst = self.inst
         flows = _tree_flows(inst.graph.node_count, tree, inst.source, inst.terminals)
-        return (flow_cost(inst.graph, flows), flows)
+        cost = flow_cost(inst.graph, flows)
+        if cost < self.best[0]:
+            self.best = (cost, flows)
+        return cost
 
 
 def _tournament(
     rng: np.random.Generator, fits: list[float], size: int
 ) -> int:
     picks = rng.integers(0, len(fits), size=size).tolist()
-    best = picks[0]
-    for p in picks[1:]:
-        if fits[p] < fits[best] or (fits[p] == fits[best] and p < best):
-            best = p
-    return best
+    return min(picks, key=lambda i: (fits[i], i))
 
 
 def solve_ga(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolution:
@@ -256,7 +253,9 @@ def solve_ga(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSoluti
 
     The population starts from the decoder's seeded start (the all-ones
     genome, every free node selected, plus random genomes) and the result
-    is the decoder's incumbent. Elitism keeps the incumbent alive.
+    is the decoder's incumbent. Elitism keeps the incumbent alive: the
+    elite is carried with its cost, so each generation after the first
+    decodes only its children.
     """
     require_feasible(inst)
     p = p or MetaheuristicParams()
@@ -264,8 +263,9 @@ def solve_ga(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSoluti
     rng = np.random.Generator(np.random.PCG64(p.seed))
     length = len(decoder.free)
     population = decoder.first_genomes(rng, p.population)
+    fits: list[float] = []
     for _ in range(p.iterations):
-        fits = [decoder.cost(genome) for genome in population]
+        fits += [decoder.cost(genome) for genome in population[len(fits) :]]
         elite = min(range(len(population)), key=lambda i: (fits[i], i))
         children = [population[elite]]
         while len(children) < p.population:
@@ -279,6 +279,7 @@ def solve_ga(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSoluti
                 child = (genes ^ (rng.random(length) < p.mutation_rate)).tobytes()
             children.append(child)
         population = children
+        fits = [fits[elite]]
     return make_solution(inst, decoder.best[1], "ga")
 
 
@@ -300,44 +301,32 @@ def solve_bco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
     costs: list[float | None] = [None] * p.population
     stale = [0] * p.population
 
-    def flip_one(genome: bytes) -> bytes:
-        if not length:
-            return genome
-        i = int(rng.integers(0, length))
-        return genome[:i] + bytes((genome[i] ^ 1,)) + genome[i + 1 :]
+    def improve(i: int) -> bool:
+        """Move site i to a flip of one of its bits if that costs less."""
+        trial = sites[i]
+        if length:
+            bit = int(rng.integers(0, length))
+            trial = trial[:bit] + bytes((trial[bit] ^ 1,)) + trial[bit + 1 :]
+        t_cost = decoder.cost(trial)
+        if t_cost < costs[i]:
+            sites[i], costs[i], stale[i] = trial, t_cost, 0
+            return True
+        stale[i] += 1
+        return False
 
     max_scouts = max(1, math.ceil(p.scout_fraction * p.population))
     for _ in range(p.iterations):
         for i in range(p.population):
             if costs[i] is None:
                 costs[i] = decoder.cost(sites[i])
-            trial = flip_one(sites[i])
-            t_cost = decoder.cost(trial)
-            if t_cost < costs[i]:
-                sites[i] = trial
-                costs[i] = t_cost
-                stale[i] = 0
-            else:
-                stale[i] += 1
-        weights = [1.0 / (1.0 + c) for c in costs]
-        total = sum_left(weights)
+            improve(i)
+        # onlookers take the first site whose running weight reaches
+        # r * total, or the last site if rounding leaves none
+        running = list(accumulate(1.0 / (1.0 + c) for c in costs))
         for _ in range(p.population):
-            r = rng.random() * total
-            j = 0
-            acc = weights[0]
-            while acc < r and j + 1 < len(weights):
-                j += 1
-                acc += weights[j]
-            trial = flip_one(sites[j])
-            t_cost = decoder.cost(trial)
-            if t_cost < costs[j]:
-                sites[j] = trial
-                costs[j] = t_cost
-                weights[j] = 1.0 / (1.0 + t_cost)
-                total = sum_left(weights)
-                stale[j] = 0
-            else:
-                stale[j] += 1
+            j = min(bisect_left(running, rng.random() * running[-1]), p.population - 1)
+            if improve(j):
+                running = list(accumulate(1.0 / (1.0 + c) for c in costs))
         stuck = sorted(
             (i for i in range(p.population) if stale[i] > p.abandonment_limit),
             key=lambda i: (-stale[i], i),
@@ -455,15 +444,16 @@ def solve_aco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
     are merged like the shortest-path union (shared edges carry one stream
     at the larger demand). The union of an ant's walks is cut to its
     minimum spanning tree (dropping the dearest removable cycle edges),
-    then pruned of non-required leaves. The global best deposits
-    pheromone each iteration after evaporation."""
+    then pruned of non-required leaves, and offered to the incumbent of a
+    ``_SubsetDecoder``. The incumbent deposits pheromone each iteration
+    after evaporation."""
     require_feasible(inst)
     p = p or MetaheuristicParams()
     draws = _Draws(np.random.Generator(np.random.PCG64(p.seed)))
-    graph = inst.graph
-    n = graph.node_count
+    decoder = _SubsetDecoder(inst)
+    n = inst.graph.node_count
     # edge ids follow Kruskal order (weight, u, v), so sorted ids are too
-    ordered = sorted((w, u, v) for u, v, w in graph.edges)
+    ordered = decoder.edges
     edge_id = {(u, v): i for i, (_, u, v) in enumerate(ordered)}
     ends = [(u, v) for _, u, v in ordered]
     desir = _edge_values(
@@ -478,9 +468,6 @@ def solve_aco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
         entries.sort()
     alpha = p.pheromone_weight
     terminals = sorted(inst.terminals)
-    best_cost = math.inf
-    best_flows: dict[tuple[int, int], float] | None = None
-    best_support: set[int] = set()
     for _ in range(p.iterations):
         powered = (x ** alpha * d for x, d in zip(pheromone, desir))
         weight = _edge_values(ends, powered, "hop weight")
@@ -498,15 +485,10 @@ def solve_aco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
                 support.update(_ant_walk(draws, inst.source, t, hops))
             ids = sorted(support)
             # a spanning tree of the walks' union has at most len(ids) edges
-            tree = _kruskal(n, (ends[i] for i in ids), len(ids))
-            flows = _tree_flows(n, tree, inst.source, inst.terminals)
-            cost = flow_cost(graph, flows)
-            if cost < best_cost:
-                best_cost = cost
-                best_flows = flows
-                best_support = {edge_id[(min(u, v), max(u, v))] for u, v in flows}
+            decoder.offer(_kruskal(n, (ends[i] for i in ids), len(ids)))
         pheromone = [x * (1.0 - p.evaporation) for x in pheromone]
-        deposit = 1.0 / max(best_cost, 1e-12)
-        for i in best_support:
-            pheromone[i] += deposit
-    return make_solution(inst, best_flows, "aco")
+        deposit = 1.0 / max(decoder.best[0], 1e-12)
+        # a tree's edges are distinct, so each id gets one deposit
+        for u, v in decoder.best[1]:
+            pheromone[edge_id[(min(u, v), max(u, v))]] += deposit
+    return make_solution(inst, decoder.best[1], "aco")

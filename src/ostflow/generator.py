@@ -23,6 +23,9 @@ import numpy as np
 
 from .model import Graph, Instance, InstanceError
 
+# pairings generate_regular_instance tries before it gives up
+_REGULAR_ATTEMPTS = 2000
+
 DEFAULT_DEMAND_SET: tuple[tuple[float, float], ...] = (
     (1.0, 1 / 3),
     (0.5, 1 / 3),
@@ -165,7 +168,7 @@ def generate_instance(cfg: GenConfig) -> Instance:
     return _finish_instance(rng, cfg, pairs)
 
 
-def generate_regular_instance(cfg: GenConfig, degree: int, max_attempts: int = 2000) -> Instance:
+def generate_regular_instance(cfg: GenConfig, degree: int) -> Instance:
     """Generate a connected random d-regular instance; deterministic per config.
 
     Uses the pairing model: shuffle d copies of every node, pair them up,
@@ -179,7 +182,7 @@ def generate_regular_instance(cfg: GenConfig, degree: int, max_attempts: int = 2
         raise InstanceError(f"node_count * degree = {n * degree} must be even")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     stubs = np.repeat(np.arange(n), degree)
-    for _ in range(max_attempts):
+    for _ in range(_REGULAR_ATTEMPTS):
         order = rng.permutation(len(stubs))
         shuffled = stubs[order]
         pairs = set()
@@ -201,5 +204,5 @@ def generate_regular_instance(cfg: GenConfig, degree: int, max_attempts: int = 2
             continue
         return _finish_instance(rng, cfg, sorted(pairs))
     raise InstanceError(
-        f"no simple connected {degree}-regular graph found in {max_attempts} attempts"
+        f"no simple connected {degree}-regular graph found in {_REGULAR_ATTEMPTS} attempts"
     )

@@ -81,16 +81,18 @@ def with_demands(inst: Instance, terminals: dict[int, float]) -> Instance:
 def decode_node_subset(inst: Instance, selected: set[int]):
     """The metaheuristics' decoding of an explicit node subset: the pruned
     MST of the induced subgraph with demand-law flows, or None when that
-    subgraph is disconnected."""
+    subgraph is disconnected. A node outside the source's component (or
+    outside the graph) disconnects it; any other subset is a genome."""
     selected = set(selected)
     required = {inst.source} | set(inst.terminals)
     if not required <= selected:
         raise ValueError("selected nodes must include the source and all terminals")
-    n = inst.graph.node_count
-    mask = np.zeros(n, dtype=bool)
-    # ids outside the graph stay in the count, so such a subset is infeasible
-    mask[[x for x in selected if 0 <= x < n]] = True
-    _, flows = _SubsetDecoder(inst).decode_mask(mask, len(selected))
+    decoder = _SubsetDecoder(inst)
+    free = decoder.free.tolist()
+    if not selected <= required | set(free):
+        return None
+    decoder.cost(bytes(x in selected for x in free))
+    flows = decoder.best[1]
     return None if flows is None else make_solution(inst, flows, "decode")
 
 

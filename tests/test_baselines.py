@@ -155,6 +155,17 @@ def test_ga_beats_decoded_required_only_bound():
     assert sol.cost <= bound.cost + 1e-9
 
 
+def test_ga_decodes_each_genome_once(monkeypatch):
+    # the elite is carried with its cost, so every generation after the
+    # first decodes only its population - 1 children
+    genomes = []
+    cost = _SubsetDecoder.cost
+    monkeypatch.setattr(_SubsetDecoder, "cost", lambda self, g: genomes.append(g) or cost(self, g))
+    inst = generate_instance(GenConfig(node_count=30, avg_degree=4, terminal_count=4, seed=2))
+    solve_ga(inst, MetaheuristicParams(population=10, iterations=5))
+    assert len(genomes) == 10 + (5 - 1) * (10 - 1)
+
+
 def test_all_baselines_feasible_and_dominated():
     baselines = (
         solve_mst_prune,
@@ -269,10 +280,19 @@ def test_decoder_start_and_incumbent():
     assert close(decoder.cost(b"\x00\x00\x00"), 1.0)
     assert decoder.cost(b"\x00\x00\x01") == decoder.penalty
     assert decoder.best is first
+    # offered trees follow the same rule: an equal-cost tree (its spare
+    # edge 0-3 carries nothing) and a dearer one leave the first in place
+    assert decoder.offer([(2, 1), (0, 2), (0, 3)]) == first[0]
+    assert decoder.offer([(0, 1), (0, 2)]) == 1.0
+    assert decoder.best is first
     # an infeasible decode never becomes the incumbent, even with none yet
     fresh = _SubsetDecoder(inst)
     assert fresh.cost(b"\x00\x00\x01") == fresh.penalty
     assert fresh.best == (fresh.penalty, None)
+    # a cheaper offered tree replaces the incumbent
+    assert fresh.offer([(0, 1)]) == 1.0 and fresh.best[1] == {(0, 1): 1.0}
+    assert fresh.offer([(0, 2), (1, 2)]) == first[0]
+    assert fresh.best == first
     # where a + 1.0 would be lost to rounding, the penalty still lies
     # strictly above a feasible cost
     big = _SubsetDecoder(Instance(Graph(2, ((0, 1, 1e17),)), source=0, terminals={1: 1.0}))
