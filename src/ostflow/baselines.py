@@ -460,12 +460,8 @@ def solve_aco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
         ends, ((1.0 / max(w, 1e-12)) ** p.heuristic_weight for w, _, _ in ordered), "desirability"
     )
     pheromone = [1.0] * len(ordered)
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, (_, u, v) in enumerate(ordered):
-        incident[u].append((v, i))
-        incident[v].append((u, i))
-    for entries in incident:
-        entries.sort()
+    incident = [[(v, edge_id[(min(u, v), max(u, v))]) for v, _ in nb]
+                for u, nb in enumerate(inst.graph.adjacency)]
     alpha = p.pheromone_weight
     terminals = sorted(inst.terminals)
     for _ in range(p.iterations):

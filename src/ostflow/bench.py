@@ -129,10 +129,6 @@ def _run_cell(cfg: SweepConfig, value: float, seed: int) -> list[ResultRow]:
     return rows
 
 
-def _worker(job: tuple[SweepConfig, float, int]) -> list[ResultRow]:
-    return _run_cell(*job)
-
-
 def worker_count(jobs: int) -> int:
     """Pool size for ``jobs`` jobs: min(requested, cores, jobs), at least 1.
 
@@ -156,7 +152,7 @@ def run_sweep(cfg: SweepConfig) -> list[ResultRow]:
     workers = worker_count(len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_cell = list(pool.map(_worker, jobs, chunksize=1))
+            per_cell = list(pool.map(_run_cell, *zip(*jobs), chunksize=1))
     else:
         per_cell = [_run_cell(*job) for job in jobs]
     rows = [row for cell in per_cell for row in cell]

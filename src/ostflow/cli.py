@@ -223,11 +223,10 @@ def cmd_validate(args) -> int:
     inst = parse_instance(_read_text(args.instance, "instance"))
     solution = parse_solution(_read_text(args.solution, "solution"))
     violations = check_constraints(inst, solution) + check_cost(inst, solution)
-    if args.tree or args.flow_law:
-        tree_violations = check_tree(inst, solution)
-        violations.extend(tree_violations)
-        if args.flow_law and not tree_violations:
-            violations.extend(check_flow_law(inst, solution))
+    if args.flow_law:
+        violations += check_flow_law(inst, solution)
+    elif args.tree:
+        violations += check_tree(inst, solution)
     for v in violations:
         print(str(v))
     return EXIT_OK if not violations else EXIT_INFEASIBLE_SOLUTION

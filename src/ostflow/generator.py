@@ -183,21 +183,9 @@ def generate_regular_instance(cfg: GenConfig, degree: int) -> Instance:
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     stubs = np.repeat(np.arange(n), degree)
     for _ in range(_REGULAR_ATTEMPTS):
-        order = rng.permutation(len(stubs))
-        shuffled = stubs[order]
-        pairs = set()
-        ok = True
-        for i in range(0, len(shuffled), 2):
-            u, v = int(shuffled[i]), int(shuffled[i + 1])
-            if u == v:
-                ok = False
-                break
-            key = (min(u, v), max(u, v))
-            if key in pairs:
-                ok = False
-                break
-            pairs.add(key)
-        if not ok:
+        ends = np.sort(stubs[rng.permutation(len(stubs))].reshape(-1, 2), axis=1)
+        pairs = set(map(tuple, ends.tolist()))
+        if (ends[:, 0] == ends[:, 1]).any() or len(pairs) < len(ends):
             continue
         graph = Graph(node_count=n, edges=tuple((u, v, 1.0) for u, v in pairs))
         if len(graph.reachable_from(0)) != n:

@@ -8,6 +8,7 @@ at least its demanded rate from the source.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -69,11 +70,13 @@ class Graph:
             normalized.append((u, v, w))
         normalized.sort()
         object.__setattr__(self, "edges", tuple(normalized))
+        # in sorted edge order a node's lower neighbours come first, each
+        # side ascending, so every list is in neighbour order as built
         adj: list[list[tuple[int, float]]] = [[] for _ in range(self.node_count)]
         for u, v, w in normalized:
             adj[u].append((v, w))
             adj[v].append((u, w))
-        object.__setattr__(self, "adjacency", tuple(tuple(sorted(a)) for a in adj))
+        object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))
 
     @property
     def edge_count(self) -> int:
@@ -86,13 +89,9 @@ class Graph:
         """Weight of the undirected edge {u, v}; KeyError if absent."""
         return self._weights[(min(u, v), max(u, v))]
 
-    @property
+    @functools.cached_property
     def _weights(self) -> dict[tuple[int, int], float]:
-        cached = self.__dict__.get("_weights_cache")
-        if cached is None:
-            cached = {(u, v): w for u, v, w in self.edges}
-            object.__setattr__(self, "_weights_cache", cached)
-        return cached
+        return {(u, v): w for u, v, w in self.edges}
 
     def reachable_from(self, start: int) -> set[int]:
         """Nodes reachable from ``start`` by BFS."""

@@ -135,10 +135,6 @@ class DpTable:
     workspace: Workspace
 
     @property
-    def full_mask(self) -> int:
-        return (1 << len(self.terminal_index)) - 1
-
-    @property
     def kind(self) -> np.ndarray:
         """Every state's kind (``state_kind``), a new read-only int8 array."""
         kinds = state_kind(self.cost, self.arg, np.arange(len(self.cost))[:, None]).astype(np.int8)
@@ -183,10 +179,9 @@ def dp_init(inst: Instance) -> DpTable:
         )
     terminal_index = {t: i for i, t in enumerate(terms)}
     demands = [inst.terminals[t] for t in terms]
-    xmax = [0.0] * (1 << k)
-    for mask in range(1, 1 << k):
-        low = mask & -mask
-        xmax[mask] = max(xmax[mask ^ low], demands[low.bit_length() - 1])
+    xmax = [0.0]
+    for d in demands:
+        xmax += [max(x, d) for x in xmax]
     cost = np.full((1 << k, m), math.inf)
     arg = np.zeros((1 << k, m), dtype=np.int32)
     for t, i in terminal_index.items():
@@ -331,13 +326,12 @@ def decision(table: DpTable, node: int, subset: int) -> int:
 
     MERGE: the first split in ``_halves`` order with cost[F, node] +
     cost[subset - F, node] == cost[subset, node], the first least split.
-    EXTEND: among the neighbours u that reach the state's value,
-    cost[subset, u] + xmax(subset) * w == cost[subset, node], the least
-    (value, node id) strictly below it. Where only equal-valued neighbours
-    reach it (zero weights), the least id among those that grow changed in
-    an earlier sweep (a node it did not improve counts as sweep 0). That is
-    the predecessor a best-first pass settles first, and each step lowers
-    (value, sweep), so the decisions never form a cycle.
+    EXTEND: the least (value, node id) among the neighbours u that reach
+    the state's value, cost[subset, u] + xmax(subset) * w ==
+    cost[subset, node], and are either strictly below it or changed in an
+    earlier grow sweep (a node grow did not improve counts as sweep 0).
+    That is the predecessor a best-first pass settles first, and each step
+    lowers (value, sweep), so the decisions never form a cycle.
 
     Raises ValueError when no split or neighbour reproduces the value.
     """
@@ -353,15 +347,11 @@ def decision(table: DpTable, node: int, subset: int) -> int:
         src, dst, weight = table.arcs
         into = np.flatnonzero(dst == node)
         tails, step = src[into], table.xmax[subset]
-        reaching = [(t, u) for t, u, w in zip(cost[subset][tails].tolist(), tails.tolist(),
-                                              weight[into].tolist())
-                    if t + step * w == value]
-        below = [pair for pair in reaching if pair[0] < value]
-        if below:
-            return min(below)[1]
-        earlier = [u for _, u in reaching if arg[subset, u] < arg[subset, node]]
-        if earlier:
-            return min(earlier)
+        options = [(t, u) for t, u, w in zip(cost[subset][tails].tolist(), tails.tolist(),
+                                             weight[into].tolist())
+                   if t + step * w == value and (t < value or arg[subset, u] < arg[subset, node])]
+        if options:
+            return min(options)[1]
     raise ValueError(f"inconsistent table: no split or neighbour reproduces the cost at "
                      f"(node {node}, subset {subset:#x})")
 
@@ -415,4 +405,4 @@ def solve_ost(inst: Instance) -> FlowSolution:
         if p > 1:
             dp_merge(table, layer)
         dp_grow(table, layer)
-    return reconstruct(table, inst, inst.source, table.full_mask)
+    return reconstruct(table, inst, inst.source, (1 << k) - 1)

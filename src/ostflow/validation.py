@@ -1,7 +1,7 @@
 """Feasibility and structure checks for flow solutions.
 
-Three independent batteries, plus ``check_cost`` for documents whose
-cost is stated rather than computed:
+Three batteries, plus ``check_cost`` for documents whose cost is stated
+rather than computed:
 
 * ``check_constraints``: the feasibility constraints every solution must
   satisfy (positive flows on real edges, relay nodes never push more than
@@ -11,8 +11,9 @@ cost is stated rather than computed:
 * ``check_tree``: structural shape of minimal solutions (flow support is
   a tree rooted at the source, oriented away from it, every leaf required).
 * ``check_flow_law``: on a tree, each edge must carry exactly the largest
-  demand among the terminals below it. A test oracle for minimal solver
-  outputs, not a feasibility requirement.
+  demand among the terminals below it. It runs the ``check_tree`` checks
+  first and reports their violations instead where the shape is wrong. A
+  test oracle for minimal solver outputs, not a feasibility requirement.
 """
 
 from __future__ import annotations
@@ -121,13 +122,17 @@ def check_constraints(inst: Instance, sol: FlowSolution) -> list[Violation]:
     return violations
 
 
-def _support_tree(inst: Instance, sol: FlowSolution):
-    """Rooted-tree view of the flow support, or a NOT_TREE violation.
+def _not_tree(location: str, detail: str):
+    return None, None, [Violation(Code.NOT_TREE, location, detail)]
 
-    Returns (parent, order, None), with ``parent`` (-1 at the source) and
-    the BFS ``order`` of a search rooted at the source, or
-    (None, None, violation) when the support is not a tree containing
-    source and terminals.
+
+def _rooted_support(inst: Instance, sol: FlowSolution):
+    """The flow support rooted at the source, and its shape violations.
+
+    Returns (parent, order, violations): ``parent`` (-1 at the source) and
+    the BFS ``order`` of a search rooted at the source, with the
+    orientation and leaf violations; or (None, None, [NOT_TREE violation])
+    when the support is not a tree containing source and terminals.
     """
     nodes = set()
     undirected = set()
@@ -136,19 +141,13 @@ def _support_tree(inst: Instance, sol: FlowSolution):
         nodes.add(v)
         key = (min(u, v), max(u, v))
         if key in undirected:
-            return None, None, Violation(
-                Code.NOT_TREE, f"({u},{v})", "edge carries flow in both directions"
-            )
+            return _not_tree(f"({u},{v})", "edge carries flow in both directions")
         undirected.add(key)
     if inst.source not in nodes:
-        return None, None, Violation(
-            Code.NOT_TREE, f"node {inst.source}", "source not in support"
-        )
+        return _not_tree(f"node {inst.source}", "source not in support")
     missing = [t for t in sorted(inst.terminals) if t not in nodes]
     if missing:
-        return None, None, Violation(
-            Code.NOT_TREE, f"node {missing[0]}", "terminal not in support"
-        )
+        return _not_tree(f"node {missing[0]}", "terminal not in support")
     neighbors: dict[int, list[int]] = {n: [] for n in nodes}
     for a, b in sorted(undirected):
         neighbors[a].append(b)
@@ -162,60 +161,41 @@ def _support_tree(inst: Instance, sol: FlowSolution):
                 order.append(v)
     if len(parent) != len(nodes):
         stranded = min(n for n in nodes if n not in parent)
-        return None, None, Violation(
-            Code.NOT_TREE, f"node {stranded}", "support is disconnected from the source"
-        )
+        return _not_tree(f"node {stranded}", "support is disconnected from the source")
     if len(undirected) != len(nodes) - 1:
-        return None, None, Violation(Code.NOT_TREE, "support", "support contains a cycle")
-    return parent, order, None
-
-
-def _shape_violations(inst: Instance, sol: FlowSolution, parent: dict[int, int]) -> list[Violation]:
-    """Orientation and leaf violations of a support tree."""
-    violations = []
-    for u, v in sorted(sol.flows):
-        if parent[v] != u:
-            violations.append(
-                Violation(Code.BAD_ORIENTATION, f"({u},{v})", "flow points toward the source")
-            )
+        return _not_tree("support", "support contains a cycle")
+    violations = [
+        Violation(Code.BAD_ORIENTATION, f"({u},{v})", "flow points toward the source")
+        for u, v in sorted(sol.flows) if parent[v] != u
+    ]
     inner = set(parent.values())
-    for node in sorted(parent):
-        if node not in inner and node != inst.source and node not in inst.terminals:
-            violations.append(
-                Violation(Code.LEAF_NOT_TERMINAL, f"node {node}", "leaf is not a terminal")
-            )
-    return violations
+    violations += [
+        Violation(Code.LEAF_NOT_TERMINAL, f"node {node}", "leaf is not a terminal")
+        for node in sorted(parent)
+        if node not in inner and node != inst.source and node not in inst.terminals
+    ]
+    return parent, order, violations
 
 
 def check_tree(inst: Instance, sol: FlowSolution) -> list[Violation]:
     """Rooted-tree shape of minimal solutions (support, orientation, leaves)."""
-    parent, _, problem = _support_tree(inst, sol)
-    if problem is not None:
-        return [problem]
-    return _shape_violations(inst, sol, parent)
+    return _rooted_support(inst, sol)[2]
 
 
 def check_flow_law(inst: Instance, sol: FlowSolution) -> list[Violation]:
     """Each tree edge must carry the max demand among terminals below it.
 
-    Precondition: ``check_tree`` passes; raises ValueError otherwise.
+    Runs the ``check_tree`` checks first: where the shape is wrong the law
+    has no meaning, so their violations are returned instead.
     """
-    parent, order, problem = _support_tree(inst, sol)
-    if problem is not None or _shape_violations(inst, sol, parent):
-        raise ValueError("not a tree")
+    parent, order, violations = _rooted_support(inst, sol)
+    if violations:
+        return violations
     # Max demand per subtree, children before parents (reverse BFS order).
     submax = {node: inst.terminals.get(node, 0.0) for node in order}
     for node in reversed(order[1:]):
         submax[parent[node]] = max(submax[parent[node]], submax[node])
-    violations = []
-    for (u, v), f in sorted(sol.flows.items()):
-        required = submax[v]
-        if abs(f - required) > TOL:
-            violations.append(
-                Violation(
-                    Code.FLOW_LAW,
-                    f"({u},{v})",
-                    f"flow {f} but max demand below is {required}",
-                )
-            )
-    return violations
+    return [
+        Violation(Code.FLOW_LAW, f"({u},{v})", f"flow {f} but max demand below is {submax[v]}")
+        for (u, v), f in sorted(sol.flows.items()) if abs(f - submax[v]) > TOL
+    ]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import ostflow
+from ostflow import generator
 from ostflow import (
     GenConfig,
     Graph,
@@ -205,6 +206,25 @@ def generator_golden_instance(spec: dict):
     if spec["regular_degree"] is None:
         return generate_instance(cfg)
     return generate_regular_instance(cfg, spec["regular_degree"])
+
+
+def reference_regular_instance(cfg: GenConfig, degree: int):
+    """``generate_regular_instance`` with the pairing checked pair by pair
+    in Python, the reference for its vectorised check (valid degrees only)."""
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    stubs = np.repeat(np.arange(cfg.node_count), degree)
+    for _ in range(generator._REGULAR_ATTEMPTS):
+        shuffled = stubs[rng.permutation(len(stubs))].tolist()
+        pairs = set()
+        for u, v in zip(shuffled[::2], shuffled[1::2]):
+            if u == v or (min(u, v), max(u, v)) in pairs:
+                break
+            pairs.add((min(u, v), max(u, v)))
+        else:
+            graph = Graph(cfg.node_count, tuple((u, v, 1.0) for u, v in pairs))
+            if len(graph.reachable_from(0)) == cfg.node_count:
+                return generator._finish_instance(rng, cfg, sorted(pairs))
+    return None
 
 
 def tie_golden_instance(spec: dict):

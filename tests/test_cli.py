@@ -271,6 +271,23 @@ def test_validate_reports_cost_mismatch(capsys, tmp_path, w1_path):
     assert out.startswith("COST_MISMATCH cost stated cost 999.0 but sum of weight")
 
 
+def test_validate_flow_law_reports_shape_then_law(capsys, tmp_path, w1_path):
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(_w1_optimum_doc(cost=0.025, flows=[{"from": 1, "to": 2, "flow": 0.25}]))
+    args = ("validate", "--instance", w1_path, "--solution", sol_path)
+    code, out, _ = run(capsys, *args, "--flow-law")
+    assert "NOT_TREE" in out and (code, out) == run(capsys, *args, "--tree")[:2]
+    assert code == 3
+    sol_path.write_text(_w1_optimum_doc(cost=0.425, flows=[
+        {"from": 0, "to": 3, "flow": 1.0},
+        {"from": 1, "to": 2, "flow": 0.25},
+        {"from": 3, "to": 1, "flow": 1.0},
+    ]))
+    assert run(capsys, *args, "--flow-law")[:2] == (
+        3, "FLOW_LAW (3,1) flow 1.0 but max demand below is 0.25\n"
+    )
+
+
 @pytest.mark.parametrize(
     "changes,field",
     [

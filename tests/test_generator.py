@@ -15,7 +15,7 @@ from ostflow import (
     serialize_instance,
 )
 
-from helpers import generator_golden_instance
+from helpers import generator_golden_instance, reference_regular_instance
 
 GOLDEN = Path(__file__).parent / "data" / "generator_golden.json"
 
@@ -123,6 +123,19 @@ def test_regular_instance_degrees_and_determinism():
         assert 0.0 < w < 1.0
     assert degree == [4] * 20
     assert len(a.graph.reachable_from(0)) == 20
+
+
+@pytest.mark.parametrize("n,degree", [(20, 3), (50, 3), (51, 4), (30, 5)])
+def test_regular_instance_matches_pairwise_reference(n, degree):
+    # degree 5 on 30 nodes runs out of attempts at seed 3, so both outcomes are compared
+    for seed in range(5):
+        cfg = GenConfig(node_count=n, avg_degree=4, terminal_count=5, seed=seed)
+        expected = reference_regular_instance(cfg, degree)
+        if expected is None:
+            with pytest.raises(InstanceError, match="attempts"):
+                generate_regular_instance(cfg, degree)
+        else:
+            assert generate_regular_instance(cfg, degree) == expected
 
 
 def test_regular_instance_rejects_odd_total():

@@ -171,9 +171,10 @@ def test_flow_law_flags_excess_flow(w1):
     assert any("(3,1)" in v.location for v in report)
 
 
-def test_flow_law_requires_tree(w1):
-    with pytest.raises(ValueError, match="not a tree"):
-        check_flow_law(w1, _sol({(1, 2): 0.25}))
+def test_flow_law_reports_the_tree_violations_first(w1):
+    # a non-tree gets no flow-law verdict, only its shape violations
+    sol = _sol({(1, 2): 0.25})
+    assert check_flow_law(w1, sol) == check_tree(w1, sol) != []
 
 
 def test_violation_rendering(w1):
