@@ -28,6 +28,10 @@ _log = logging.getLogger("ostflow")
 
 DEFAULT_BASE = GenConfig(node_count=100, avg_degree=4.0, terminal_count=8)
 
+# Sweeps whose values are counts: each value must be an integer.
+INTEGER_KINDS = frozenset({SweepKind.NODE_COUNT, SweepKind.NODE_COUNT_SMALL,
+                           SweepKind.REGULAR_DEGREE, SweepKind.USER_COUNT})
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -43,10 +47,16 @@ class SweepConfig:
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        if not isinstance(self.sweep_kind, SweepKind):
+            raise ValueError(f"sweep_kind must be a SweepKind, got {self.sweep_kind!r}")
         if not self.values:
             raise ValueError("values must be nonempty")
         if not all(math.isfinite(v) for v in self.values):
             raise ValueError(f"values must be finite, got {self.values}")
+        fractions = [v for v in self.values if v != int(v)]
+        if self.sweep_kind in INTEGER_KINDS and fractions:
+            kind = self.sweep_kind.value
+            raise ValueError(f"{kind} values must be integers, got {fractions[0]}")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("values must be strictly increasing")
         if self.trials < 1:
@@ -95,11 +105,9 @@ def _cell_instance(cfg: SweepConfig, value: float, seed: int) -> Instance:
         return generate_regular_instance(replace(base, seed=seed), int(value))
     if kind is SweepKind.USER_COUNT:
         return generate_instance(replace(base, terminal_count=int(value), seed=seed))
-    if kind is SweepKind.DEMAND_VARIANCE:
-        delta = float(value)
-        spread = ((0.5 - delta, 1 / 3), (0.5, 1 / 3), (0.5 + delta, 1 / 3))
-        return generate_instance(replace(base, demand_set=spread, seed=seed))
-    raise ValueError(f"unhandled sweep kind {kind}")
+    delta = float(value)  # SweepKind.DEMAND_VARIANCE
+    spread = ((0.5 - delta, 1 / 3), (0.5, 1 / 3), (0.5 + delta, 1 / 3))
+    return generate_instance(replace(base, demand_set=spread, seed=seed))
 
 
 def _run_cell(cfg: SweepConfig, value: float, seed: int) -> list[ResultRow]:

@@ -88,8 +88,6 @@ def _pruefer_tree(rng: np.random.Generator, n: int) -> list[tuple[int, int]]:
     """Uniform random labeled tree on n nodes via Pruefer decoding."""
     if n == 1:
         return []
-    if n == 2:
-        return [(0, 1)]
     seq = [int(x) for x in rng.integers(0, n, size=n - 2)]
     degree = [1] * n
     for x in seq:
@@ -173,7 +171,9 @@ def generate_regular_instance(cfg: GenConfig, degree: int) -> Instance:
 
     Uses the pairing model: shuffle d copies of every node, pair them up,
     and retry whenever the pairing has self-loops or duplicates or the
-    graph is disconnected. ``cfg.avg_degree`` is ignored.
+    graph is disconnected. ``cfg.avg_degree`` is ignored. A pairing is
+    rarely simple at d >= 6: at n=100, degree 6 ran out of attempts for 15
+    of seeds 0-19 and degrees 7-8 for all 20 (InstanceError).
     """
     n = cfg.node_count
     if degree < 1 or degree >= n:

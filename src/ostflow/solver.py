@@ -16,9 +16,9 @@ one popcount layer at a time, merging the whole layer in one vectorised step
 and growing it with a Bellman-Ford: each sweep relaxes in place, in all rows
 of a chunk, the arcs leaving nodes that just changed. Its fixed point is
 that of a best-first (Dijkstra) pass per subset seeded with every finite
-entry. Both steps work in chunks of CHUNK_ELEMENTS elements, and every
-(subset, split, node), (subset, arc) and (subset, node) temporary is a view
-of one per-solve Workspace that dp_init allocates.
+entry. Both steps work in the chunks that one per-solve Workspace plans
+from CHUNK_ELEMENTS, and every (subset, split, node), (subset, arc) and
+(subset, node) temporary is a view of that workspace's buffers.
 
 The optimum for the full terminal set at the source is exact. Each table
 value is at least the cost of the feasible network its decisions
@@ -50,66 +50,55 @@ UNSET, LEAF, MERGE, EXTEND = 0, 1, 2, 3
 # Bytes per (subset, node) state: float64 cost, int32 arg.
 STATE_BYTES = 12
 
-# Elements in any one temporary array of a merge or grow step; a layer is
-# processed in chunks of subsets (and of splits) that stay within it, down
-# to one subset (and one split) per chunk on graphs too large for that.
-# Blocks of 2^16 float64 (512 KiB) ran faster than 2^20 at K=12-14. The
-# temporaries are views of one per-solve Workspace, allocated by dp_init.
+# Elements in any one temporary array of a merge or grow step: Workspace
+# plans each layer's chunks of subsets (and of splits) within it, down to
+# one subset (and one split) per chunk on graphs too large for that.
+# Blocks of 2^16 float64 (512 KiB) ran faster than 2^20 at K=12-14.
 CHUNK_ELEMENTS = 1 << 16
 
 
 class Workspace:
-    """Flat buffers that every merge and grow chunk of one solve writes into.
+    """The chunk plan of one solve, and the flat buffers its chunks write into.
 
-    Allocating them once per solve spares each chunk the allocator's
-    mmap/munmap and first-touch page faults. Each is its own allocation, no
-    larger than a chunk temporary: freeing one block as large as all of
-    them would raise the allocator's mmap threshold for the whole process
-    (about 2 MiB more resident in a bench cell). ``real`` buffers are
-    float64; a step that needs integers views one as intp or int32. The
-    first two hold ``budget`` elements, the solve's largest chunk: merge's
+    ``merge_block`` and ``grow_block`` turn ``chunk`` (CHUNK_ELEMENTS) into
+    every chunk's shape; the buffers are sized by asking them for each
+    popcount layer. Allocating the buffers once per solve spares each chunk
+    the allocator's mmap/munmap and first-touch page faults. Each is its own
+    allocation, no larger than a chunk temporary: freeing one block as large
+    as all of them would raise the allocator's mmap threshold for the whole
+    process (about 2 MiB more resident in a bench cell). ``real`` buffers
+    are float64; a step that needs integers views one as intp or int32. The
+    first two hold the solve's largest chunk, at least one ``row``: merge's
     two (subset, split, node) arrays, then grow's two (subset, arc) arrays
-    on the same pages. The rest, and ``flag``, hold ``rows``, the largest
-    (subset, node) or (subset, split) array of a chunk: a grow chunk's rows
-    stay in place there for its whole grow (see ``_grow_chunk``).
+    on the same pages. The rest, and ``flag``, hold the largest (subset,
+    node) or (subset, split) array of a chunk: a grow chunk's rows stay in
+    place there for its whole grow (see ``_grow_chunk``).
     """
 
-    def __init__(self, budget: int, rows: int):
-        self.budget = budget
-        self.real = [np.empty(size) for size in (budget, budget, rows, rows, rows)]
+    def __init__(self, k: int, n: int, arcs: int):
+        self.chunk, self.n, self.row = CHUNK_ELEMENTS, n, max(n, arcs)
+        largest, rows = self.row, n
+        for p in range(1, k + 1):
+            layer = math.comb(k, p)
+            subsets = min(layer, self.grow_block())
+            largest, rows = max(largest, subsets * self.row), max(rows, subsets * n)
+            if p > 1:
+                splits = (1 << (p - 1)) - 1
+                subsets, cols = self.merge_block(splits)
+                subsets, cols = min(layer, subsets), min(splits, cols)
+                largest = max(largest, subsets * cols * n)
+                rows = max(rows, subsets * n, subsets * cols)
+        self.real = [np.empty(size) for size in (largest, largest, rows, rows, rows)]
         self.flag = np.empty(rows, dtype=bool)
 
+    def merge_block(self, splits: int) -> tuple[int, int]:
+        """(subsets, splits) per merge chunk at ``splits`` splits per subset, at least one each."""
+        subsets = max(1, self.chunk // (splits * self.n))
+        return subsets, max(1, self.chunk // (subsets * self.n))
 
-def _merge_block(budget: int, splits: int, n: int) -> tuple[int, int]:
-    """(subsets, splits) per merge chunk within ``budget`` elements, at least one each."""
-    rows = max(1, budget // (splits * n))
-    return rows, max(1, budget // (rows * n))
-
-
-def _grow_block(budget: int, row: int) -> int:
-    """Subsets per grow chunk within ``budget`` elements, at least one."""
-    return max(1, budget // row)
-
-
-def _solve_budget(k: int, n: int, arcs: int) -> tuple[int, int]:
-    """Workspace sizes (budget, rows): the largest chunk the layers take
-    under CHUNK_ELEMENTS, and at least one grow row; then those chunks'
-    largest (subset, node) or (subset, split) array. Where budget is at
-    most CHUNK_ELEMENTS, chunking to it gives every layer the same chunks;
-    where one row is larger the chunks differ, and rows is budget."""
-    row = max(n, arcs)
-    budget, rows = row, n
-    for p in range(1, k + 1):
-        layer = math.comb(k, p)
-        subsets = min(layer, _grow_block(CHUNK_ELEMENTS, row))
-        budget, rows = max(budget, subsets * row), max(rows, subsets * n)
-        if p > 1:
-            splits = (1 << (p - 1)) - 1
-            subsets, cols = _merge_block(CHUNK_ELEMENTS, splits, n)
-            subsets, cols = min(layer, subsets), min(splits, cols)
-            budget = max(budget, subsets * cols * n)
-            rows = max(rows, subsets * n, subsets * cols)
-    return budget, rows if budget <= CHUNK_ELEMENTS else budget
+    def grow_block(self) -> int:
+        """Subsets per grow chunk within ``chunk`` elements, at least one."""
+        return max(1, self.chunk // self.row)
 
 
 @dataclass
@@ -191,7 +180,7 @@ def dp_init(inst: Instance) -> DpTable:
     arcs = (np.concatenate([u, v]), np.concatenate([v, u]), np.tile(edges[:, 2], 2))
     return DpTable(
         terminal_index=terminal_index, xmax=xmax, cost=cost, arg=arg, arcs=arcs,
-        workspace=Workspace(*_solve_budget(k, m, 2 * len(edges))),
+        workspace=Workspace(k, m, 2 * len(edges)),
     )
 
 
@@ -222,18 +211,17 @@ def dp_merge(table: DpTable, subsets) -> None:
     where that is below its value.
 
     ``subsets`` is a 1-d sequence of masks of one popcount whose proper
-    subsets are final; candidates are costed in chunks of at most the
-    table's chunk budget of (subset, split, node) triples, or one split's
-    row, in the table's workspace.
+    subsets are final; candidates are costed in the chunks that the
+    table's workspace plans (``Workspace.merge_block``), in its buffers.
     """
     subsets = np.asarray(subsets, dtype=np.int64)
     p = int(subsets[0]).bit_count() if subsets.size else 0
     if p < 2:
         return
     cost, ws = table.cost, table.workspace
-    n = cost.shape[1]
+    n = ws.n
     splits = (1 << (p - 1)) - 1
-    rows, cols = _merge_block(ws.budget, splits, n)
+    rows, cols = ws.merge_block(splits)
     for i in range(0, len(subsets), rows):
         chunk = subsets[i:i + rows]
         for j in range(0, splits, cols):
@@ -258,14 +246,12 @@ def dp_grow(table: DpTable, subsets) -> None:
     changed: nonzero exactly where the value fell below its seed (EXTEND).
 
     ``subsets`` is a 1-d sequence of masks whose rows are merged, not yet
-    grown; each is grown once, in place in chunks of at most the table's
-    chunk budget of (subset, arc) and (subset, node) pairs, or one row.
+    grown; each is grown once, in place, in the chunks that the table's
+    workspace plans (``Workspace.grow_block``).
     """
     subsets = np.asarray(subsets, dtype=np.int64)
-    if not (subsets.size and table.arcs[0].size):
-        return
     xmax = np.asarray(table.xmax)
-    rows = _grow_block(table.workspace.budget, max(table.arcs[0].size, table.cost.shape[1]))
+    rows = table.workspace.grow_block()
     for i in range(0, len(subsets), rows):
         chunk = subsets[i:i + rows]
         _grow_chunk(table, chunk, xmax[chunk])

@@ -184,6 +184,18 @@ def test_sweep_config_validation():
     with pytest.raises(ValueError, match="ost_terminal_cap must be >= 0"):
         small_cfg(ost_terminal_cap=-1)
     assert small_cfg(ost_terminal_cap=0).ost_terminal_cap == 0
+    # count sweeps take integers only; a float with no fraction is one
+    with pytest.raises(ValueError, match="^node-count values must be integers, got 10.5$"):
+        small_cfg(values=(10.5, 12.9))
+    for kind in (SweepKind.NODE_COUNT_SMALL, SweepKind.REGULAR_DEGREE, SweepKind.USER_COUNT):
+        with pytest.raises(ValueError, match=f"^{kind.value} values must be integers, got 3.7$"):
+            small_cfg(sweep_kind=kind, values=(3, 3.7))
+    assert small_cfg(values=(10.0,)).values == (10.0,)
+    assert small_cfg(sweep_kind=SweepKind.AVG_DEGREE, values=(2.5,)).values == (2.5,)
+    assert small_cfg(sweep_kind=SweepKind.DEMAND_VARIANCE, values=(0.1,)).values == (0.1,)
+    # a plain string is refused here, not inside a (worker's) cell
+    with pytest.raises(ValueError, match="^sweep_kind must be a SweepKind, got 'node-count'$"):
+        small_cfg(sweep_kind="node-count")
 
 
 def _row(value, seed, algorithm, cost):

@@ -417,6 +417,17 @@ def test_bench_negative_ost_cap_exits_1(capsys, tmp_path):
     assert not csv.exists() and not summary.exists()
 
 
+def test_bench_fractional_count_exits_1(capsys, tmp_path):
+    csv, summary = tmp_path / "r.csv", tmp_path / "s.csv"
+    code, out, err = run(
+        capsys, "bench", "--sweep", "node-count", "--values", "10.5,12.9", "--trials", 1,
+        "--algorithms", "spt", "--csv", csv, "--summary", summary,
+    )
+    assert code == 1 and out == ""
+    assert err == "ostflow: node-count values must be integers, got 10.5\n"
+    assert not csv.exists() and not summary.exists()
+
+
 def test_bench_fully_capped_sweep_writes_both_csvs(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("OST_THREADS", "1")
     csv, summary = tmp_path / "r.csv", tmp_path / "s.csv"

@@ -346,6 +346,12 @@ def test_tables_do_not_depend_on_chunk_size(n, degree, k, seed, monkeypatch):
     # one subset (and one split) per chunk
     monkeypatch.setattr(ostflow.solver, "CHUNK_ELEMENTS", 1)
     _assert_same_tables(whole, _filled(inst, per_subset=False))
+    # with one subset (and one split) per chunk, the two chunk buffers
+    # hold one grow row, and the row buffers and the flags one node row
+    workspace = dp_init(inst).workspace
+    row = max(n, 2 * inst.graph.edge_count)
+    assert [b.size for b in workspace.real] == [row, row, n, n, n]
+    assert workspace.flag.size == n
 
 
 @pytest.mark.parametrize("chunk", [ostflow.solver.CHUNK_ELEMENTS, 1])
