@@ -6,7 +6,12 @@ so the graph is always connected. Extra edges are sampled by pair rank,
 without listing the absent pairs: O(m log m) time and O(n + m) memory
 for m edges. Weights are i.i.d. uniform on (0, 1).
 All randomness flows from a single PCG64 generator seeded by the config,
-so identical configs produce bit-identical instances.
+so identical configs produce bit-identical instances. Its draws come in
+this order: the Pruefer sequence (``integers``), the extra pairs' ranks
+(``choice`` without replacement), one weight per edge in ascending
+(u, v) order (``random`` in a block, redrawing an exact zero), the node
+permutation (``permutation``) and one demand pick per non-source node
+(``choice`` with the demand probabilities).
 
 Source and terminals come from one random node permutation: the source is
 the first entry and terminals the next ``terminal_count`` entries, with
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Graph, Instance, InstanceError
+from .model import Graph, Instance, InstanceError, sum_left
 
 # pairings generate_regular_instance tries before it gives up
 _REGULAR_ATTEMPTS = 2000
@@ -73,7 +78,7 @@ class GenConfig:
                 raise InstanceError(f"demand value {value} must be positive")
             if not (0 <= prob <= 1):
                 raise InstanceError(f"demand probability {prob} outside [0, 1]")
-        total = sum(p for _, p in self.demand_set)
+        total = sum_left(p for _, p in self.demand_set)
         if abs(total - 1.0) > 1e-9:
             raise InstanceError(f"demand probabilities sum to {total}, expected 1")
         if not (0 <= self.seed < 2**64):
@@ -88,7 +93,7 @@ def _pruefer_tree(rng: np.random.Generator, n: int) -> list[tuple[int, int]]:
     """Uniform random labeled tree on n nodes via Pruefer decoding."""
     if n == 1:
         return []
-    seq = [int(x) for x in rng.integers(0, n, size=n - 2)]
+    seq = rng.integers(0, n, size=n - 2).tolist()
     degree = [1] * n
     for x in seq:
         degree[x] += 1
@@ -112,31 +117,35 @@ def _pruefer_tree(rng: np.random.Generator, n: int) -> list[tuple[int, int]]:
     return edges
 
 
-def _positive_uniform(rng: np.random.Generator) -> float:
-    # U(0,1) open at 0: redraw the (measure-zero) exact zero.
-    w = float(rng.random())
-    while w == 0.0:
-        w = float(rng.random())
-    return w
+def _positive_uniforms(rng: np.random.Generator, count: int) -> list[float]:
+    """``count`` draws of U(0, 1) open at 0: the first ``count`` nonzero
+    values of ``rng.random()``'s stream, so an exact zero (measure zero) is
+    redrawn and the stream advances by as many doubles as scalar calls
+    that redraw a zero would take."""
+    draws = rng.random(count).tolist()
+    while 0.0 in draws:
+        draws = [w for w in draws if w != 0.0]
+        draws += rng.random(count - len(draws)).tolist()
+    return draws
 
 
 def _finish_instance(
-    rng: np.random.Generator, cfg: GenConfig, pairs: list[tuple[int, int]]
+    rng: np.random.Generator, cfg: GenConfig, tails: list[int], heads: list[int]
 ) -> Instance:
-    """Draw weights, source, terminals and demands for a fixed topology."""
+    """Draw weights, source, terminals and demands for a fixed topology:
+    edges (tails[i], heads[i]), tail < head, in ascending (u, v) order."""
     n = cfg.node_count
-    edges = [(u, v, _positive_uniform(rng)) for u, v in sorted(pairs)]
-    graph = Graph(node_count=n, edges=tuple(edges))
-    perm = [int(x) for x in rng.permutation(n)]
-    source = perm[0]
-    chosen = perm[1 : cfg.terminal_count + 1]
+    weights = _positive_uniforms(rng, len(tails))
+    graph = Graph(node_count=n, edges=tuple(zip(tails, heads, weights)))
+    perm = rng.permutation(n).tolist()
     values = [v for v, _ in cfg.demand_set]
     probs = [p for _, p in cfg.demand_set]
     # Draw a demand for every non-source node so that, for a fixed seed,
     # each terminal keeps its demand as terminal_count grows.
-    picks = rng.choice(len(values), size=n - 1, p=probs)
-    terminals = {t: values[int(k)] for t, k in zip(chosen, picks)}
-    return Instance(graph=graph, source=source, terminals=terminals)
+    picks = rng.choice(len(values), size=n - 1, p=probs).tolist()
+    chosen = perm[1 : cfg.terminal_count + 1]
+    terminals = {t: values[k] for t, k in zip(chosen, picks)}
+    return Instance(graph=graph, source=perm[0], terminals=terminals)
 
 
 def generate_instance(cfg: GenConfig) -> Instance:
@@ -148,22 +157,26 @@ def generate_instance(cfg: GenConfig) -> Instance:
             f"cannot guarantee connectivity: {m} edges < {n - 1} required for {n} nodes"
         )
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    tree = {(min(u, v), max(u, v)) for u, v in _pruefer_tree(rng, n)}
-    extra = m - len(tree)
-    pairs = list(tree)
-    if extra > 0:
-        # Pair (u, v), u < v, has rank start[u] + v - u - 1 in ascending
-        # (u, v) order. Absent pair i has rank i plus the number of tree
-        # ranks below it, which t - arange counts by a binary search.
-        nodes = np.arange(n)
-        start = nodes * (2 * n - nodes - 1) // 2
-        tu, tv = np.array(sorted(tree)).T
-        t = start[tu] + tv - tu - 1
-        picked = rng.choice(n * (n - 1) // 2 - len(tree), size=extra, replace=False)
-        ranks = picked + np.searchsorted(t - np.arange(len(t)), picked, side="right")
-        u = np.searchsorted(start, ranks, side="right") - 1
-        pairs.extend(zip(u.tolist(), (ranks - start[u] + u + 1).tolist()))
-    return _finish_instance(rng, cfg, pairs)
+    # Pair (u, v), u < v, has rank start[u] + v - u - 1 in ascending
+    # (u, v) order, so sorted ranks decode to sorted pairs.
+    ranks = []
+    for u, v in _pruefer_tree(rng, n):
+        if u > v:
+            u, v = v, u
+        ranks.append(u * (2 * n - u - 1) // 2 + v - u - 1)
+    ranks.sort()
+    nodes = np.arange(n)
+    start = nodes * (2 * n - nodes - 1) // 2
+    if m > len(ranks):
+        # Absent pair i has rank i plus the number of tree ranks below it,
+        # which t - arange counts by a binary search.
+        t = np.array(ranks)
+        picked = rng.choice(n * (n - 1) // 2 - len(ranks), size=m - len(ranks), replace=False)
+        picked += np.searchsorted(t - np.arange(len(t)), picked, side="right")
+        ranks = sorted(ranks + picked.tolist())
+    ranks = np.array(ranks)
+    u = np.searchsorted(start, ranks, side="right") - 1
+    return _finish_instance(rng, cfg, u.tolist(), (ranks - start[u] + u + 1).tolist())
 
 
 def generate_regular_instance(cfg: GenConfig, degree: int) -> Instance:
@@ -190,7 +203,7 @@ def generate_regular_instance(cfg: GenConfig, degree: int) -> Instance:
         graph = Graph(node_count=n, edges=tuple((u, v, 1.0) for u, v in pairs))
         if len(graph.reachable_from(0)) != n:
             continue
-        return _finish_instance(rng, cfg, sorted(pairs))
+        return _finish_instance(rng, cfg, *zip(*sorted(pairs)))
     raise InstanceError(
         f"no simple connected {degree}-regular graph found in {_REGULAR_ATTEMPTS} attempts"
     )

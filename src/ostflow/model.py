@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 
@@ -28,13 +29,33 @@ class InfeasibleInstanceError(ValueError):
         self.report = report
 
 
+def _is_node_id(x) -> bool:
+    """Whether ``x`` is an integer node id: ``operator.index`` accepts it
+    and it is no bool, although Python's bool is an int."""
+    try:
+        operator.index(x)
+    except TypeError:
+        return False
+    return not isinstance(x, bool)
+
+
+def _edge_node(x, edge) -> int:
+    """Node id ``x`` of ``edge`` as an int; InstanceError naming the edge
+    when ``x`` is not an integer id."""
+    if not _is_node_id(x):
+        raise InstanceError(f"edge {edge!r} has non-integer node id {x!r}")
+    return operator.index(x)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected weighted graph on nodes 0..node_count-1.
 
-    Edge weights are finite, nonnegative unit transmission costs. Edges are
-    stored normalized (u < v) and sorted; ``adjacency`` and the weight
-    lookup are derived at construction. Instances are treated as immutable.
+    Node ids are integers (``operator.index`` accepts them, bools are
+    refused), stored as one shared int per node. Edge weights are finite,
+    nonnegative unit transmission costs. Edges are stored normalized
+    (u < v) and sorted; ``adjacency`` and the weight lookup are derived at
+    construction. Instances are treated as immutable.
     """
 
     node_count: int
@@ -44,8 +65,14 @@ class Graph:
     )
 
     def __post_init__(self):
-        if self.node_count < 1:
-            raise InstanceError(f"node_count must be positive, got {self.node_count}")
+        n = self.node_count
+        if not _is_node_id(n):
+            raise InstanceError(f"node_count must be an integer, got {n!r}")
+        if n < 1:
+            raise InstanceError(f"node_count must be positive, got {n}")
+        # one int object per node id, shared by every edge and adjacency entry
+        ids = list(range(n))
+        inf = math.inf
         normalized = []
         seen = set()
         for edge in self.edges:
@@ -53,26 +80,33 @@ class Graph:
                 u, v, w = edge
             except (TypeError, ValueError):
                 raise InstanceError(f"edge {edge!r} is not a (u, v, weight) triple")
-            u, v, w = int(u), int(v), float(w)
-            if not (0 <= u < self.node_count and 0 <= v < self.node_count):
-                raise InstanceError(f"edge ({u}, {v}) has node id outside [0, {self.node_count})")
+            if type(u) is not int or type(v) is not int:
+                u, v = _edge_node(u, edge), _edge_node(v, edge)
+            if type(w) is not float:
+                try:
+                    w = float(w)
+                except (TypeError, ValueError):
+                    raise InstanceError(f"edge {edge!r} has non-numeric weight {w!r}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise InstanceError(f"edge ({u}, {v}) has node id outside [0, {n})")
             if u == v:
                 raise InstanceError(f"self-loop at node {u}")
             if u > v:
                 u, v = v, u
-            if (u, v) in seen:
+            key = u * n + v
+            if key in seen:
                 raise InstanceError(f"duplicate edge ({u}, {v})")
-            if not math.isfinite(w):
-                raise InstanceError(f"edge ({u}, {v}) has non-finite weight {w}")
-            if w < 0:
+            if not 0.0 <= w < inf:
+                if not math.isfinite(w):
+                    raise InstanceError(f"edge ({u}, {v}) has non-finite weight {w}")
                 raise InstanceError(f"edge ({u}, {v}) has negative weight {w}")
-            seen.add((u, v))
-            normalized.append((u, v, w))
+            seen.add(key)
+            normalized.append((ids[u], ids[v], w))
         normalized.sort()
         object.__setattr__(self, "edges", tuple(normalized))
         # in sorted edge order a node's lower neighbours come first, each
         # side ascending, so every list is in neighbour order as built
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.node_count)]
+        adj: list[list[tuple[int, float]]] = [[] for _ in ids]
         for u, v, w in normalized:
             adj[u].append((v, w))
             adj[v].append((u, w))
@@ -135,15 +169,25 @@ class Instance:
 def _instance_problems(inst: Instance) -> list[str]:
     problems = []
     n = inst.graph.node_count
-    if not (0 <= inst.source < n):
+    source_ok = _is_node_id(inst.source)
+    if not source_ok:
+        problems.append(f"source {inst.source!r} is not an integer")
+    elif not (0 <= inst.source < n):
         problems.append(f"source {inst.source} outside [0, {n})")
-    if inst.source in inst.terminals:
+    if source_ok and inst.source in inst.terminals:
         problems.append("source in terminal set")
     if not inst.terminals:
         problems.append("terminal set is empty")
     if len(inst.terminals) > n - 1:
         problems.append(f"{len(inst.terminals)} terminals exceed node_count - 1 = {n - 1}")
-    for t, demand in sorted(inst.terminals.items()):
+    ids = []
+    for t in inst.terminals:
+        if _is_node_id(t):
+            ids.append(t)
+        else:
+            problems.append(f"terminal {t!r} is not an integer")
+    for t in sorted(ids):
+        demand = inst.terminals[t]
         if not (0 <= t < n):
             problems.append(f"terminal {t} outside [0, {n})")
         if not math.isfinite(demand):

@@ -223,8 +223,64 @@ def reference_regular_instance(cfg: GenConfig, degree: int):
         else:
             graph = Graph(cfg.node_count, tuple((u, v, 1.0) for u, v in pairs))
             if len(graph.reachable_from(0)) == cfg.node_count:
-                return generator._finish_instance(rng, cfg, sorted(pairs))
+                return generator._finish_instance(rng, cfg, *zip(*sorted(pairs)))
     return None
+
+
+def reference_positive_uniform(rng) -> float:
+    """One U(0, 1) draw open at 0, redrawing an exact zero: the scalar
+    draw that ``generator._positive_uniforms`` must match in values and
+    in the number of draws taken."""
+    w = float(rng.random())
+    while w == 0.0:
+        w = float(rng.random())
+    return w
+
+
+def reference_generate_instance(cfg: GenConfig):
+    """``generate_instance`` with a set of tree pairs, a sort of pair
+    tuples and one scalar weight draw per edge, kept as the reference for
+    its bulk draws and merged rank decode (valid configs only). Both must
+    return the same instance for every config."""
+    n, m = cfg.node_count, cfg.edge_count
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    tree = {(min(u, v), max(u, v)) for u, v in generator._pruefer_tree(rng, n)}
+    pairs = list(tree)
+    if m > len(tree):
+        nodes = np.arange(n)
+        start = nodes * (2 * n - nodes - 1) // 2
+        tu, tv = np.array(sorted(tree)).T
+        t = start[tu] + tv - tu - 1
+        picked = rng.choice(n * (n - 1) // 2 - len(tree), size=m - len(tree), replace=False)
+        ranks = picked + np.searchsorted(t - np.arange(len(t)), picked, side="right")
+        u = np.searchsorted(start, ranks, side="right") - 1
+        pairs.extend(zip(u.tolist(), (ranks - start[u] + u + 1).tolist()))
+    edges = [(u, v, reference_positive_uniform(rng)) for u, v in sorted(pairs)]
+    graph = Graph(node_count=n, edges=tuple(edges))
+    perm = [int(x) for x in rng.permutation(n)]
+    values = [v for v, _ in cfg.demand_set]
+    picks = rng.choice(len(values), size=n - 1, p=[p for _, p in cfg.demand_set])
+    chosen = perm[1 : cfg.terminal_count + 1]
+    terminals = {t: values[int(k)] for t, k in zip(chosen, picks)}
+    return Instance(graph=graph, source=perm[0], terminals=terminals)
+
+
+class ScriptedStream:
+    """Stand-in for ``np.random.Generator`` whose ``random()`` and
+    ``random(size)`` return scripted doubles in order and count the draws;
+    drawing past the script fails."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.drawn = 0
+
+    def random(self, size=None):
+        count = 1 if size is None else size
+        if self.drawn + count > len(self.values):
+            raise AssertionError("drew past the script")
+        out = self.values[self.drawn : self.drawn + count]
+        self.drawn += count
+        return out[0] if size is None else np.array(out)
 
 
 def tie_golden_instance(spec: dict):

@@ -12,10 +12,17 @@ from ostflow import (
     InstanceError,
     generate_instance,
     generate_regular_instance,
+    generator,
     serialize_instance,
 )
 
-from helpers import generator_golden_instance, reference_regular_instance
+from helpers import (
+    ScriptedStream,
+    generator_golden_instance,
+    reference_generate_instance,
+    reference_positive_uniform,
+    reference_regular_instance,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "generator_golden.json"
 
@@ -170,3 +177,43 @@ def test_generation_memory_is_linear_in_edges():
     assert len(pairs) == inst.graph.edge_count == cfg.edge_count
     assert all(0 <= u < v < 3000 for u, v in pairs)
     assert len(inst.graph.reachable_from(0)) == 3000
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 57, 300])
+def test_instances_match_per_edge_reference(n):
+    # tree-only, 2.5, 4, dense and complete degree where n allows them,
+    # at three seeds and once with a non-default demand set
+    degrees = (2 * (n - 1) / n, 2.5, 4.0, 0.6 * (n - 1), n - 1)
+    demands = ((2.0, 0.1), (0.7, 0.6), (0.3, 0.3))
+    counts = set()
+    for degree in degrees:
+        edge_count = round(n * degree / 2)
+        if not n - 1 <= edge_count <= n * (n - 1) // 2:
+            continue
+        counts.add(edge_count)
+        terminals = min(6, n - 1)
+        configs = [GenConfig(n, degree, terminals, seed=seed) for seed in range(3)]
+        configs.append(GenConfig(n, degree, terminals, demands, seed=3))
+        for cfg in configs:
+            expected = serialize_instance(reference_generate_instance(cfg))
+            assert serialize_instance(generate_instance(cfg)) == expected, cfg
+    assert {n - 1, n * (n - 1) // 2} <= counts
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8],
+        [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7],
+        [0.1, 0.2, 0.3, 0.4, 0.5, 0.0, 0.6, 0.7],
+        [0.0, 0.0, 0.1, 0.0, 0.2, 0.3, 0.4, 0.0, 0.5, 0.6, 0.7],
+        [0.0] * 6 + [0.1, 0.0, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7],
+    ],
+)
+def test_block_weights_match_scalar_draws_around_zeros(script):
+    # exact zeros are redrawn, in one block draw as in one draw per edge,
+    # and both leave the stream at the same place for the draws after them
+    block, scalar = ScriptedStream(script), ScriptedStream(script)
+    expected = [reference_positive_uniform(scalar) for _ in range(6)]
+    assert generator._positive_uniforms(block, 6) == expected
+    assert block.drawn == scalar.drawn

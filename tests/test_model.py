@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ostflow import (
@@ -39,6 +40,48 @@ def test_graph_adjacency_is_symmetric_closure():
 def test_graph_rejects_bad_edges(edges, message):
     with pytest.raises(InstanceError, match=message):
         Graph(3, edges)
+
+
+@pytest.mark.parametrize(
+    "edges,message",
+    [
+        (((0, 1.7, 1.0),), r"edge \(0, 1\.7, 1\.0\) has non-integer node id 1\.7"),
+        (((float("nan"), 1, 1.0),), r"edge \(nan, 1, 1\.0\) has non-integer node id nan"),
+        (((None, 1, 1.0),), r"edge \(None, 1, 1\.0\) has non-integer node id None"),
+        (((True, 1, 1.0),), r"edge \(True, 1, 1\.0\) has non-integer node id True"),
+        (((0, 1, None),), r"edge \(0, 1, None\) has non-numeric weight None"),
+        (((0, 1, "abc"),), r"edge \(0, 1, 'abc'\) has non-numeric weight 'abc'"),
+        # the first bad edge is reported, whichever check it fails
+        (((0, 2, -1.0), (0, 1.5, 1.0)), r"^edge \(0, 2\) has negative weight -1\.0$"),
+        (((0, 1.5, 1.0), (0, 2, -1.0)), r"^edge \(0, 1\.5, 1\.0\) has non-integer node id 1\.5$"),
+        (((0, 9, "abc"),), r"non-numeric weight 'abc'"),
+        (((2, 1, float("nan")), (1, 2, 0.5)), r"^edge \(1, 2\) has non-finite weight nan$"),
+        (((2, 1, 0.5), (1, 2, float("nan"))), r"^duplicate edge \(1, 2\)$"),
+    ],
+)
+def test_graph_names_the_first_bad_edge(edges, message):
+    with pytest.raises(InstanceError, match=message):
+        Graph(3, edges)
+
+
+def test_graph_accepts_integer_like_ids_as_ints():
+    g = Graph(3, ((np.int64(2), np.int32(0), np.float64(0.5)), (1, 2, "0.25")))
+    assert g.edges == ((0, 2, 0.5), (1, 2, 0.25))
+    assert {type(x) for u, v, w in g.edges for x in (u, v)} == {int}
+    assert type(g.edges[0][2]) is float
+
+
+def test_graph_edges_and_adjacency_share_one_int_per_node():
+    edges = tuple((v, v + 1, 1.0) for v in range(999))
+    assert edges[500][1] is not edges[501][0]
+    g = Graph(1000, edges)
+    assert g.edges[500][1] is g.edges[501][0] is g.adjacency[500][1][0] is g.adjacency[502][0][0]
+
+
+@pytest.mark.parametrize("count", [2.5, None, True])
+def test_graph_rejects_non_integer_node_count(count):
+    with pytest.raises(InstanceError, match=f"node_count must be an integer, got {count!r}"):
+        Graph(count, ())
 
 
 def test_reachable_from_returns_the_start_component_only():
@@ -84,6 +127,36 @@ def test_instance_rejects_bad_source():
     g = Graph(2, ((0, 1, 0.5),))
     with pytest.raises(InstanceError, match="source"):
         Instance(graph=g, source=5, terminals={1: 1.0})
+
+
+@pytest.mark.parametrize(
+    "source,terminals,message",
+    [
+        (1.5, {2: 1.0}, r"^source 1\.5 is not an integer$"),
+        (None, {2: 1.0}, r"^source None is not an integer$"),
+        (True, {2: 1.0}, r"^source True is not an integer$"),
+        (0, {1.5: 1.0}, r"^terminal 1\.5 is not an integer$"),
+        (0, {"2": 1.0}, r"^terminal '2' is not an integer$"),
+        # a non-integer id is reported before any range check
+        (0, {7: 1.0, 1.5: 1.0}, r"^terminal 1\.5 is not an integer$"),
+    ],
+)
+def test_instance_rejects_non_integer_ids(source, terminals, message):
+    g = Graph(3, ((0, 1, 0.5), (1, 2, 0.5)))
+    with pytest.raises(InstanceError, match=message):
+        Instance(graph=g, source=source, terminals=terminals)
+
+
+def test_validate_instance_reports_every_non_integer_id():
+    inst = Instance(Graph(3, ((0, 1, 0.5), (1, 2, 0.5))), 0, {2: 1.0})
+    object.__setattr__(inst, "source", 0.5)
+    object.__setattr__(inst, "terminals", {None: 1.0, 2: 1.0, 9: 1.0})
+    assert validate_instance(inst) == [
+        "source 0.5 is not an integer",
+        "3 terminals exceed node_count - 1 = 2",
+        "terminal None is not an integer",
+        "terminal 9 outside [0, 3)",
+    ]
 
 
 def test_validate_instance_path_graph_ok():
