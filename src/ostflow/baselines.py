@@ -26,7 +26,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .model import FlowSolution, Instance, flow_cost, make_solution, require_feasible, sum_left
+from .model import FlowSolution, Instance, flow_cost, make_solution, require_feasible, require_fields, sum_left
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,7 @@ class MetaheuristicParams:
     abandonment_limit: int = 10
 
     def __post_init__(self):
+        require_fields(self)
         if self.population < 1 or self.iterations < 1 or self.ant_count < 1:
             raise ValueError("population, iterations and ant_count must be positive")
         if not (0 <= self.crossover_rate <= 1 and 0 <= self.mutation_rate <= 1):

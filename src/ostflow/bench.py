@@ -20,7 +20,7 @@ from operator import attrgetter
 
 from .baselines import MetaheuristicParams
 from .generator import GenConfig, generate_instance, generate_regular_instance
-from .model import Instance, sum_left
+from .model import Instance, as_float, require_fields, sum_left
 from .registry import SOLVERS, SWEEP_ALGORITHMS, SweepKind
 from .validation import check_constraints
 
@@ -47,11 +47,14 @@ class SweepConfig:
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        require_fields(self)
         if not isinstance(self.sweep_kind, SweepKind):
             raise ValueError(f"sweep_kind must be a SweepKind, got {self.sweep_kind!r}")
         if not self.values:
             raise ValueError("values must be nonempty")
-        if not all(math.isfinite(v) for v in self.values):
+        if None in map(as_float, self.values):
+            raise ValueError(f"values must be numbers, got {self.values}")
+        if not all(math.isfinite(as_float(v)) for v in self.values):
             raise ValueError(f"values must be finite, got {self.values}")
         fractions = [v for v in self.values if v != int(v)]
         if self.sweep_kind in INTEGER_KINDS and fractions:

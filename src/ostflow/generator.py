@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Graph, Instance, InstanceError, sum_left
+from .model import Graph, Instance, InstanceError, as_float, require_fields, sum_left
 
 # pairings generate_regular_instance tries before it gives up
 _REGULAR_ATTEMPTS = 2000
@@ -54,12 +54,16 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "demand_set", tuple((float(v), float(p)) for v, p in self.demand_set))
+        require_fields(self, InstanceError)
+        demand_set = tuple((as_float(v), as_float(p)) for v, p in self.demand_set)
+        if any(None in pair for pair in demand_set):
+            raise InstanceError(f"demand_set must hold number pairs, got {self.demand_set!r}")
+        object.__setattr__(self, "demand_set", demand_set)
         if self.node_count < 1:
             raise InstanceError("node_count must be positive")
         if self.avg_degree <= 0:
             raise InstanceError("avg_degree must be positive")
-        if not math.isfinite(self.node_count * self.avg_degree):
+        if not math.isfinite(self.node_count * as_float(self.avg_degree)):
             raise InstanceError(
                 f"node_count x avg_degree = {self.node_count} x {self.avg_degree} is not finite"
             )
@@ -74,6 +78,8 @@ class GenConfig:
                 f" / 2 edges, more than the complete graph's {full} on {self.node_count} nodes"
             )
         for value, prob in self.demand_set:
+            if not math.isfinite(value):
+                raise InstanceError(f"demand value {value} must be finite")
             if value <= 0:
                 raise InstanceError(f"demand value {value} must be positive")
             if not (0 <= prob <= 1):

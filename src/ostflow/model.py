@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 class InstanceError(ValueError):
@@ -29,31 +30,47 @@ class InfeasibleInstanceError(ValueError):
         self.report = report
 
 
-def _is_node_id(x) -> bool:
-    """Whether ``x`` is an integer node id: ``operator.index`` accepts it
-    and it is no bool, although Python's bool is an int."""
+def as_int(x) -> int | None:
+    """``x`` as an int if it is an integer id or count (``operator.index``
+    accepts it and it is no bool, although bool is an int), else None."""
     try:
-        operator.index(x)
+        return None if isinstance(x, bool) else operator.index(x)
     except TypeError:
-        return False
-    return not isinstance(x, bool)
+        return None
 
 
-def _edge_node(x, edge) -> int:
-    """Node id ``x`` of ``edge`` as an int; InstanceError naming the edge
-    when ``x`` is not an integer id."""
-    if not _is_node_id(x):
-        raise InstanceError(f"edge {edge!r} has non-integer node id {x!r}")
-    return operator.index(x)
+def as_float(x) -> float | None:
+    """``x`` as a float if it is a real number (``numbers.Real``, no bool),
+    else None; an integer too large for a float reads as +-inf."""
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        return None
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+_FIELD_RULES = {"int": (as_int, "an integer"), "float": (as_float, "a number")}
+
+
+def require_fields(obj, error=ValueError) -> None:
+    """Raise ``error`` naming the first field of dataclass ``obj`` annotated
+    ``int`` that holds no integer (:func:`as_int`), or ``float`` that holds
+    no number (:func:`as_float`). Annotations must be strings, as under
+    ``from __future__ import annotations``."""
+    for f in fields(obj):
+        rule, kind = _FIELD_RULES.get(f.type, (None, None))
+        if rule and rule(getattr(obj, f.name)) is None:
+            raise error(f"{f.name} must be {kind}, got {getattr(obj, f.name)!r}")
 
 
 @dataclass(frozen=True)
 class Graph:
     """Undirected weighted graph on nodes 0..node_count-1.
 
-    Node ids are integers (``operator.index`` accepts them, bools are
-    refused), stored as one shared int per node. Edge weights are finite,
-    nonnegative unit transmission costs. Edges are stored normalized
+    Node ids are integers (:func:`as_int`), stored as one shared int per
+    node. Edge weights are real numbers (:func:`as_float`) stored as floats:
+    finite, nonnegative unit transmission costs. Edges are stored normalized
     (u < v) and sorted; ``adjacency`` and the weight lookup are derived at
     construction. Instances are treated as immutable.
     """
@@ -65,9 +82,8 @@ class Graph:
     )
 
     def __post_init__(self):
-        n = self.node_count
-        if not _is_node_id(n):
-            raise InstanceError(f"node_count must be an integer, got {n!r}")
+        require_fields(self, InstanceError)
+        n = as_int(self.node_count)
         if n < 1:
             raise InstanceError(f"node_count must be positive, got {n}")
         # one int object per node id, shared by every edge and adjacency entry
@@ -81,12 +97,15 @@ class Graph:
             except (TypeError, ValueError):
                 raise InstanceError(f"edge {edge!r} is not a (u, v, weight) triple")
             if type(u) is not int or type(v) is not int:
-                u, v = _edge_node(u, edge), _edge_node(v, edge)
+                bad = [x for x in (u, v) if as_int(x) is None]
+                if bad:
+                    raise InstanceError(f"edge {edge!r} has non-integer node id {bad[0]!r}")
+                u, v = as_int(u), as_int(v)
             if type(w) is not float:
-                try:
-                    w = float(w)
-                except (TypeError, ValueError):
+                weight = as_float(w)
+                if weight is None:
                     raise InstanceError(f"edge {edge!r} has non-numeric weight {w!r}")
+                w = weight
             if not (0 <= u < n and 0 <= v < n):
                 raise InstanceError(f"edge ({u}, {v}) has node id outside [0, {n})")
             if u == v:
@@ -169,7 +188,7 @@ class Instance:
 def _instance_problems(inst: Instance) -> list[str]:
     problems = []
     n = inst.graph.node_count
-    source_ok = _is_node_id(inst.source)
+    source_ok = as_int(inst.source) is not None
     if not source_ok:
         problems.append(f"source {inst.source!r} is not an integer")
     elif not (0 <= inst.source < n):
@@ -182,16 +201,19 @@ def _instance_problems(inst: Instance) -> list[str]:
         problems.append(f"{len(inst.terminals)} terminals exceed node_count - 1 = {n - 1}")
     ids = []
     for t in inst.terminals:
-        if _is_node_id(t):
+        if as_int(t) is not None:
             ids.append(t)
         else:
             problems.append(f"terminal {t!r} is not an integer")
     for t in sorted(ids):
         demand = inst.terminals[t]
+        number = as_float(demand)
         if not (0 <= t < n):
             problems.append(f"terminal {t} outside [0, {n})")
-        if not math.isfinite(demand):
-            problems.append(f"terminal {t} has non-finite demand {demand}")
+        if number is None:
+            problems.append(f"terminal {t} has non-numeric demand {demand!r}")
+        elif not math.isfinite(number):
+            problems.append(f"terminal {t} has non-finite demand {number}")
         elif demand <= 0:
             problems.append(f"terminal {t} has nonpositive demand {demand}")
     return problems

@@ -13,7 +13,7 @@ import json
 import math
 from typing import Any
 
-from .model import FlowSolution, Graph, Instance, InstanceError
+from .model import FlowSolution, Graph, Instance, InstanceError, as_float, as_int
 
 _INSTANCE_KEYS = {"nodes", "edges", "source", "terminals"}
 _TERMINAL_KEYS = {"node", "demand"}
@@ -102,29 +102,20 @@ def serialize_instance(inst: Instance) -> str:
 
 
 def _integer(value: Any, where: str) -> int:
-    """``value`` as a node id or count; JSON ``true`` and ``false`` are not
-    integers here, although Python's bool is an int."""
-    if not isinstance(value, int) or isinstance(value, bool):
+    """``value`` as a node id or count by :func:`as_int`, so JSON ``true`` is none."""
+    number = as_int(value)
+    if number is None:
         raise InstanceError(f"{where}: expected integer, got {value!r}")
-    return value
+    return number
 
 
-def _number(value: Any, where: str) -> float:
-    """``value`` as a float, where an integer too large for one (json.loads
-    accepts those) reads as inf; JSON ``true`` and ``false`` are not numbers."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+def _number(value: Any, where: str, finite: bool = False) -> float:
+    """``value`` as a float by :func:`as_float`, so JSON ``true`` is none and
+    a too large integer is inf; with ``finite``, NaN and +-inf are refused."""
+    number = as_float(value)
+    if number is None:
         raise InstanceError(f"{where}: expected number")
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf
-
-
-def _finite(value: Any, where: str) -> float:
-    """``value`` as a finite float; json.loads accepts NaN, Infinity and
-    integers too large for a float, none of which a cost or a flow can be."""
-    number = _number(value, where)
-    if not math.isfinite(number):
+    if finite and not math.isfinite(number):
         raise InstanceError(f"{where}: expected a finite number, got {number}")
     return number
 
@@ -135,8 +126,8 @@ def parse_solution(text: str) -> FlowSolution:
     _reject_unknown(doc, _SOLUTION_KEYS, "solution document")
     if not isinstance(doc["algorithm"], str):
         raise InstanceError("algorithm: expected string")
-    cost = _finite(doc["cost"], "cost")
-    runtime_ms = _finite(doc["runtime_ms"], "runtime_ms")
+    cost = _number(doc["cost"], "cost", finite=True)
+    runtime_ms = _number(doc["runtime_ms"], "runtime_ms", finite=True)
     flows_raw = doc["flows"]
     if not isinstance(flows_raw, list):
         raise InstanceError("flows: expected an array of {from, to, flow} objects")
@@ -147,7 +138,7 @@ def parse_solution(text: str) -> FlowSolution:
         _reject_unknown(entry, _FLOW_KEYS, f"flows[{i}]")
         u = _integer(entry["from"], f"flows[{i}].from")
         v = _integer(entry["to"], f"flows[{i}].to")
-        f = _finite(entry["flow"], f"flows[{i}].flow")
+        f = _number(entry["flow"], f"flows[{i}].flow", finite=True)
         if (u, v) in flows:
             raise InstanceError(f"flows[{i}]: duplicate flow edge ({u}, {v})")
         flows[(u, v)] = f

@@ -539,6 +539,14 @@ def test_non_finite_generator_and_sweep_numbers_exit_1(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_gen_non_finite_demand_value_exits_1_naming_it(capsys, value):
+    code, out, err = run(capsys, "gen", "--nodes", 10, "--avg-degree", 3, "--terminals", 2,
+                         "--demands", f"{value}:1")
+    assert code == 1 and out == ""
+    assert err == f"ostflow: demand value {value} must be finite\n"
+
+
 def test_gen_overfull_degree_names_the_complete_graph_limit(capsys):
     code, out, err = run(capsys, "gen", "--nodes", 10, "--avg-degree", "1e300", "--terminals", 2)
     assert code == 1 and out == ""

@@ -65,7 +65,7 @@ def test_graph_names_the_first_bad_edge(edges, message):
 
 
 def test_graph_accepts_integer_like_ids_as_ints():
-    g = Graph(3, ((np.int64(2), np.int32(0), np.float64(0.5)), (1, 2, "0.25")))
+    g = Graph(3, ((np.int64(2), np.int32(0), np.float64(0.5)), (1, 2, np.float32(0.25))))
     assert g.edges == ((0, 2, 0.5), (1, 2, 0.25))
     assert {type(x) for u, v, w in g.edges for x in (u, v)} == {int}
     assert type(g.edges[0][2]) is float
