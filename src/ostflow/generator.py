@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .model import Graph, Instance, InstanceError, as_float, require_fields, sum_left
 
-# pairings generate_regular_instance tries before it gives up
+# pairings of each kind generate_regular_instance tries before it gives up
 _REGULAR_ATTEMPTS = 2000
 
 DEFAULT_DEMAND_SET: tuple[tuple[float, float], ...] = (
@@ -185,14 +186,45 @@ def generate_instance(cfg: GenConfig) -> Instance:
     return _finish_instance(rng, cfg, u.tolist(), (ranks - start[u] + u + 1).tolist())
 
 
+def _connected(n: int, pairs) -> bool:
+    """Whether the edges ``pairs`` join all of nodes 0..n-1."""
+    graph = Graph(node_count=n, edges=tuple((u, v, 1.0) for u, v in pairs))
+    return len(graph.reachable_from(0)) == n
+
+
+def _sequential_pairing(
+    rng: np.random.Generator, n: int, degree: int
+) -> list[tuple[int, int]] | None:
+    """One Steger-Wormald sequential pairing (Steger & Wormald, Combinatorics,
+    Probability and Computing 1999): draw two free stubs uniformly and join
+    them when their nodes are distinct and not yet adjacent, until every
+    stub is joined. Returns the edges (u, v), u < v, in ascending order, or
+    None when free stubs are left but no two of them may be joined."""
+    stubs = [v for v in range(n) for _ in range(degree)]
+    neighbours: list[set[int]] = [set() for _ in range(n)]
+    while stubs:
+        i, j = rng.integers(len(stubs), size=2).tolist()
+        u, v = stubs[i], stubs[j]
+        if u != v and v not in neighbours[u]:
+            neighbours[u].add(v)
+            neighbours[v].add(u)
+            for k in sorted((i, j), reverse=True):
+                stubs[k] = stubs[-1]
+                stubs.pop()
+        elif all(b in neighbours[a] for a, b in combinations(set(stubs), 2)):
+            return None
+    return [(u, v) for u in range(n) for v in sorted(neighbours[u]) if u < v]
+
+
 def generate_regular_instance(cfg: GenConfig, degree: int) -> Instance:
     """Generate a connected random d-regular instance; deterministic per config.
 
     Uses the pairing model: shuffle d copies of every node, pair them up,
     and retry whenever the pairing has self-loops or duplicates or the
-    graph is disconnected. ``cfg.avg_degree`` is ignored. A pairing is
-    rarely simple at d >= 6: at n=100, degree 6 ran out of attempts for 15
-    of seeds 0-19 and degrees 7-8 for all 20 (InstanceError).
+    graph is disconnected. A pairing is rarely simple at d >= 6, so when
+    the attempts run out the same generator goes on with sequential
+    pairing (``_sequential_pairing``), retried likewise. ``cfg.avg_degree``
+    is ignored.
     """
     n = cfg.node_count
     if degree < 1 or degree >= n:
@@ -206,10 +238,13 @@ def generate_regular_instance(cfg: GenConfig, degree: int) -> Instance:
         pairs = set(map(tuple, ends.tolist()))
         if (ends[:, 0] == ends[:, 1]).any() or len(pairs) < len(ends):
             continue
-        graph = Graph(node_count=n, edges=tuple((u, v, 1.0) for u, v in pairs))
-        if len(graph.reachable_from(0)) != n:
-            continue
-        return _finish_instance(rng, cfg, *zip(*sorted(pairs)))
+        if _connected(n, pairs):
+            return _finish_instance(rng, cfg, *zip(*sorted(pairs)))
+    for _ in range(_REGULAR_ATTEMPTS):
+        pairs = _sequential_pairing(rng, n, degree)
+        if pairs is not None and _connected(n, pairs):
+            return _finish_instance(rng, cfg, *zip(*pairs))
     raise InstanceError(
         f"no simple connected {degree}-regular graph found in {_REGULAR_ATTEMPTS} attempts"
+        " of each sampler"
     )

@@ -174,7 +174,7 @@ class Instance:
 
     def __post_init__(self):
         object.__setattr__(self, "terminals", dict(self.terminals))
-        for problem in _instance_problems(self):
+        for problem in instance_problems(self):
             raise InstanceError(problem)
 
     @property
@@ -185,7 +185,11 @@ class Instance:
         return max(self.terminals.values())
 
 
-def _instance_problems(inst: Instance) -> list[str]:
+def instance_problems(inst: Instance) -> list[str]:
+    """Violations of the construction invariants, empty = none: source,
+    terminal ids and demands, in O(K) with no graph search. ``Instance``
+    raises on the first; the terminals dict stays mutable, so a solver
+    re-checks before it indexes a table by terminal id."""
     problems = []
     n = inst.graph.node_count
     source_ok = as_int(inst.source) is not None
@@ -222,11 +226,12 @@ def _instance_problems(inst: Instance) -> list[str]:
 def validate_instance(inst: Instance) -> list[str]:
     """Check an instance for feasibility; returns violations, empty = valid.
 
-    Re-runs the structural invariants defensively, then checks that every
-    terminal is reachable from the source (the only way a structurally
-    well-formed instance can lack a feasible solution).
+    Re-runs the structural invariants (:func:`instance_problems`)
+    defensively, then checks that every terminal is reachable from the
+    source (the only way a structurally well-formed instance can lack a
+    feasible solution).
     """
-    problems = _instance_problems(inst)
+    problems = instance_problems(inst)
     if problems:
         return problems
     reachable = inst.graph.reachable_from(inst.source)

@@ -11,7 +11,7 @@ with the dynamic-programming solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .model import (
     FlowSolution,
@@ -19,15 +19,25 @@ from .model import (
     Instance,
     make_solution,
     require_feasible,
+    require_fields,
 )
 
 
 @dataclass(frozen=True)
 class OracleLimits:
-    """Instance size caps; enumeration is bounded by 2^max_edges subsets."""
+    """Instance size caps; enumeration is bounded by 2^max_edges subsets.
+
+    Both are positive integers (ValueError naming the field otherwise).
+    """
 
     max_nodes: int = 10
     max_edges: int = 20
+
+    def __post_init__(self):
+        require_fields(self)
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be positive, got {getattr(self, f.name)}")
 
 
 def brute_force_optimum(inst: Instance, lim: OracleLimits | None = None) -> FlowSolution:

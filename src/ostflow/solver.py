@@ -31,6 +31,13 @@ recurrence reaches that tree's cost. The table stores values, not
 decisions: ``reconstruct`` derives the split or predecessor of only the
 states on the optimum's path, as a best-first pass would record it (an
 edge met twice keeps the larger flow).
+
+Feasibility is decided in ``solve_ost`` from the table, with no search of
+its own: the instance's O(K) construction invariants are checked first,
+and the one-terminal layer is a shortest-path pass from each terminal, so
+once it is grown a terminal reaches the source exactly where its row is
+finite there. The full validator (``require_feasible``, a BFS) runs only
+where that reads inf, to report which terminals are unreachable.
 """
 
 from __future__ import annotations
@@ -38,11 +45,11 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .model import FlowSolution, Instance, InstanceError, make_solution, require_feasible
+from .model import (FlowSolution, InfeasibleInstanceError, Instance, InstanceError,
+                    instance_problems, make_solution, require_feasible)
 
 # Kinds of state: how cost[S, v] was last improved (``state_kind``).
 UNSET, LEAF, MERGE, EXTEND = 0, 1, 2, 3
@@ -112,8 +119,9 @@ class DpTable:
     grow sweep in which a state last changed (0 where grow did not lower
     it); with ``cost`` it gives each state's kind (``state_kind``). The
     split or neighbour a state came from is derived by ``decision``.
-    ``arcs`` lists both directions of every edge as (src, dst, weight).
-    ``workspace`` holds the merge and grow temporaries.
+    ``arcs`` lists both directions of every edge as (src, dst, weight) for
+    grow; ``adjacency`` is the instance graph's own, which ``decision``
+    reads. ``workspace`` holds the merge and grow temporaries.
     """
 
     terminal_index: dict[int, int]
@@ -121,6 +129,7 @@ class DpTable:
     cost: np.ndarray    # (2^K, M) float64, +inf where unreached
     arg: np.ndarray     # (2^K, M) int32, grow sweep of EXTEND states
     arcs: tuple[np.ndarray, np.ndarray, np.ndarray]
+    adjacency: tuple[tuple[tuple[int, float], ...], ...]
     workspace: Workspace
 
     @property
@@ -175,12 +184,15 @@ def dp_init(inst: Instance) -> DpTable:
     arg = np.zeros((1 << k, m), dtype=np.int32)
     for t, i in terminal_index.items():
         cost[1 << i, t] = 0.0
-    edges = np.fromiter(chain.from_iterable(inst.graph.edges), np.float64).reshape(-1, 3)
-    u, v = edges[:, 0].astype(np.intp), edges[:, 1].astype(np.intp)
-    arcs = (np.concatenate([u, v]), np.concatenate([v, u]), np.tile(edges[:, 2], 2))
+    edges = inst.graph.edges
+    e = len(edges)
+    us, vs, ws = zip(*edges) if e else ((), (), ())
+    u, v = np.fromiter(us, np.intp, count=e), np.fromiter(vs, np.intp, count=e)
+    arcs = (np.concatenate([u, v]), np.concatenate([v, u]),
+            np.tile(np.fromiter(ws, np.float64, count=e), 2))
     return DpTable(
         terminal_index=terminal_index, xmax=xmax, cost=cost, arg=arg, arcs=arcs,
-        workspace=Workspace(k, m, 2 * len(edges)),
+        adjacency=inst.graph.adjacency, workspace=Workspace(k, m, 2 * e),
     )
 
 
@@ -312,14 +324,17 @@ def decision(table: DpTable, node: int, subset: int) -> int:
 
     MERGE: the first split in ``_halves`` order with cost[F, node] +
     cost[subset - F, node] == cost[subset, node], the first least split.
-    EXTEND: the least (value, node id) among the neighbours u that reach
+    EXTEND: the least (value, node id) among the neighbours u of ``node``
+    in the graph's adjacency, joined by an edge of weight w, that reach
     the state's value, cost[subset, u] + xmax(subset) * w ==
     cost[subset, node], and are either strictly below it or changed in an
     earlier grow sweep (a node grow did not improve counts as sweep 0).
     That is the predecessor a best-first pass settles first, and each step
     lowers (value, sweep), so the decisions never form a cycle.
 
-    Raises ValueError when no split or neighbour reproduces the value.
+    Raises ValueError when no split or neighbour reproduces the value,
+    as at an unreached state. ``solve_ost`` asks only on a table whose
+    one-terminal rows showed every terminal reaching the source.
     """
     cost, arg = table.cost, table.arg
     value = float(cost[subset, node])
@@ -330,12 +345,10 @@ def decision(table: DpTable, node: int, subset: int) -> int:
         if found.size:
             return int(halves[found[0]])
     elif kind == EXTEND:
-        src, dst, weight = table.arcs
-        into = np.flatnonzero(dst == node)
-        tails, step = src[into], table.xmax[subset]
-        options = [(t, u) for t, u, w in zip(cost[subset][tails].tolist(), tails.tolist(),
-                                             weight[into].tolist())
-                   if t + step * w == value and (t < value or arg[subset, u] < arg[subset, node])]
+        step, sweep = table.xmax[subset], arg.item(subset, node)
+        options = [(t, u) for u, w in table.adjacency[node]
+                   if (t := cost.item(subset, u)) + step * w == value
+                   and (t < value or arg.item(subset, u) < sweep)]
         if options:
             return min(options)[1]
     raise ValueError(f"inconsistent table: no split or neighbour reproduces the cost at "
@@ -378,11 +391,22 @@ def solve_ost(inst: Instance) -> FlowSolution:
     """Exact minimum-cost solution for the full terminal set at the source.
 
     A pure function of the instance (``runtime_ms`` is 0.0; the solver
-    registry times the call). Raises InfeasibleInstanceError when some
-    terminal is unreachable.
+    registry times the call). Raises InfeasibleInstanceError, with
+    ``validate_instance``'s report, when the instance breaks a construction
+    invariant (checked first) or some terminal is unreachable (read from
+    the grown one-terminal rows at the source). The full validator runs
+    only where such a row is inf (an overflowing weight times demand also
+    reads inf) or where ``dp_init`` refuses the table, so infeasibility is
+    reported ahead of the table's size.
     """
-    require_feasible(inst)
-    table = dp_init(inst)
+    problems = instance_problems(inst)
+    if problems:
+        raise InfeasibleInstanceError(problems)
+    try:
+        table = dp_init(inst)
+    except InstanceError:
+        require_feasible(inst)
+        raise
     k = len(table.terminal_index)
     masks = np.arange(1, 1 << k)
     popcount = sum((masks >> i) & 1 for i in range(k))
@@ -391,4 +415,6 @@ def solve_ost(inst: Instance) -> FlowSolution:
         if p > 1:
             dp_merge(table, layer)
         dp_grow(table, layer)
+        if p == 1 and np.isinf(table.cost[layer, inst.source]).any():
+            require_feasible(inst)
     return reconstruct(table, inst, inst.source, (1 << k) - 1)

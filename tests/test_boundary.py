@@ -13,6 +13,7 @@ from ostflow import (
     Instance,
     InstanceError,
     MetaheuristicParams,
+    OracleLimits,
     SweepConfig,
     SweepKind,
 )
@@ -91,6 +92,13 @@ SWEEP = dict(sweep_kind=SweepKind.NODE_COUNT, values=(10,), trials=1)
          "ost_terminal_cap must be an integer, got 1.5"),
         (lambda: SweepConfig(**{**SWEEP, "values": ("a",)}), ValueError,
          "values must be numbers, got ('a',)"),
+        # OracleLimits caps
+        (lambda: OracleLimits(max_nodes=None), ValueError,
+         "max_nodes must be an integer, got None"),
+        (lambda: OracleLimits(max_edges=2.5), ValueError,
+         "max_edges must be an integer, got 2.5"),
+        (lambda: OracleLimits(max_nodes=0), ValueError,
+         "max_nodes must be positive, got 0"),
     ],
 )
 def test_bad_outside_input_fails_at_the_boundary(build, error, message):

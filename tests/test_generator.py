@@ -118,31 +118,53 @@ def test_terminal_sets_nested_across_terminal_count():
         assert big.terminals[t] == d
 
 
+def _assert_regular(inst, n: int, degree: int) -> None:
+    """``inst`` is a simple connected ``degree``-regular graph on n nodes."""
+    counts = [0] * n
+    for u, v, w in inst.graph.edges:
+        counts[u] += 1
+        counts[v] += 1
+        assert 0.0 < w < 1.0
+    assert counts == [degree] * n
+    assert len(inst.graph.reachable_from(0)) == n
+
+
 def test_regular_instance_degrees_and_determinism():
     cfg = GenConfig(node_count=20, avg_degree=4, terminal_count=3, seed=2)
     a = generate_regular_instance(cfg, 4)
     b = generate_regular_instance(cfg, 4)
     assert a == b
-    degree = [0] * 20
-    for u, v, w in a.graph.edges:
-        degree[u] += 1
-        degree[v] += 1
-        assert 0.0 < w < 1.0
-    assert degree == [4] * 20
-    assert len(a.graph.reachable_from(0)) == 20
+    _assert_regular(a, 20, 4)
 
 
 @pytest.mark.parametrize("n,degree", [(20, 3), (50, 3), (51, 4), (30, 5)])
 def test_regular_instance_matches_pairwise_reference(n, degree):
-    # degree 5 on 30 nodes runs out of attempts at seed 3, so both outcomes are compared
+    # degree 5 on 30 nodes runs out of pairing attempts at seed 3 and
+    # falls back to sequential pairing, so both outcomes are compared
     for seed in range(5):
         cfg = GenConfig(node_count=n, avg_degree=4, terminal_count=5, seed=seed)
         expected = reference_regular_instance(cfg, degree)
         if expected is None:
-            with pytest.raises(InstanceError, match="attempts"):
-                generate_regular_instance(cfg, degree)
+            _assert_regular(generate_regular_instance(cfg, degree), n, degree)
         else:
             assert generate_regular_instance(cfg, degree) == expected
+
+
+@pytest.mark.parametrize("degree", [6, 7, 8])
+def test_regular_instance_at_high_degree_falls_back_to_sequential_pairing(degree):
+    # at n=100 the pairing model runs out of attempts for most seeds here
+    for seed in range(3):
+        cfg = GenConfig(node_count=100, avg_degree=4, terminal_count=5, seed=seed)
+        inst = generate_regular_instance(cfg, degree)
+        _assert_regular(inst, 100, degree)
+        assert generate_regular_instance(cfg, degree) == inst
+
+
+def test_regular_instance_refuses_when_no_sampler_finds_a_connected_graph():
+    # every 1-regular graph on 4 nodes is two disjoint edges
+    cfg = GenConfig(node_count=4, avg_degree=1, terminal_count=1, seed=0)
+    with pytest.raises(InstanceError, match="2000 attempts of each sampler"):
+        generate_regular_instance(cfg, 1)
 
 
 def test_regular_instance_rejects_odd_total():

@@ -23,6 +23,7 @@ from ostflow import (
     generate_instance,
     serialize_solution,
     solve_ost,
+    validate_instance,
 )
 import ostflow.solver
 from ostflow.solver import (
@@ -180,6 +181,59 @@ def test_solve_ost_refuses_table_larger_than_memory():
     message = str(exc.value)
     assert message.startswith("state space too large: 41 nodes x 2^40 terminal subsets")
     assert f"({need} bytes)" in message and "of physical memory" in message
+
+
+def test_solve_ost_reports_every_unreachable_terminal_as_the_validator_does():
+    inst = Instance(
+        graph=Graph(6, ((0, 1, 0.5), (1, 2, 0.5), (4, 5, 0.5))),
+        source=0,
+        terminals={5: 1.0, 2: 0.5, 3: 0.25},
+    )
+    with pytest.raises(InfeasibleInstanceError) as exc:
+        solve_ost(inst)
+    assert exc.value.report == validate_instance(inst) == [
+        "terminal 3 unreachable from source",
+        "terminal 5 unreachable from source",
+    ]
+
+
+def test_solve_ost_reports_an_oversized_infeasible_instance_as_infeasible():
+    # the table is refused for its size, but infeasibility is reported first
+    big = oversized_instance()
+    inst = Instance(Graph(42, big.graph.edges), 0, {**big.terminals, 41: 1.0})
+    with pytest.raises(InfeasibleInstanceError) as exc:
+        solve_ost(inst)
+    assert exc.value.report == ["terminal 41 unreachable from source"]
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_solve_ost_checks_terminals_mutated_after_construction_before_any_table(
+    w1, bad, monkeypatch
+):
+    w1.terminals[bad] = 1.0
+    monkeypatch.setattr(ostflow.solver, "dp_init", lambda inst: pytest.fail("table built"))
+    with pytest.raises(InfeasibleInstanceError) as exc:
+        solve_ost(w1)
+    assert exc.value.report == validate_instance(w1) == [f"terminal {bad} outside [0, 4)"]
+
+
+def test_solve_ost_on_an_overflowing_edge_cost_names_the_unreached_state():
+    # 1e308 x demand 10 is inf: terminal 2 reaches the source, its row does not
+    inst = Instance(Graph(3, ((0, 1, 1e308), (1, 2, 1.0))), 0, {2: 10.0})
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as exc:
+        solve_ost(inst)
+    assert str(exc.value) == "unreachable state (node 0, subset 0x1)"
+
+
+def test_solve_ost_runs_no_reachability_search(monkeypatch):
+    inst = generate_instance(GenConfig(node_count=60, avg_degree=4, terminal_count=5, seed=3))
+    expected = solve_ost(inst)
+
+    def search(graph, start):
+        raise AssertionError("reachability searched")
+
+    monkeypatch.setattr(Graph, "reachable_from", search)
+    assert solve_ost(inst) == expected
 
 
 def test_table_memory_bound_is_inclusive(w1, monkeypatch):
