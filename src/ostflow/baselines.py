@@ -14,6 +14,11 @@ below it; MST is the decode of the all-ones genome. The decoder memoises
 nothing: it keeps only the incumbent, and GA and BCO carry their own
 costs. ACO builds one guided path per terminal, merges the paths into a
 tree and offers that tree to the same incumbent.
+
+Every such tree comes from one routine, ``_SubsetDecoder.rooted``: Prim
+from the source over edge-rank bitsets, which returns the parent array
+the demand walk-up reads. SPT's shortest-path tree feeds the same
+walk-up.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .model import FlowSolution, Instance, flow_cost, make_solution, require_feasible, require_fields, sum_left
+from .model import (FlowSolution, Instance, cost_ceiling, flow_cost, make_solution, require_feasible,
+                    require_fields, sum_left)
 
 
 @dataclass(frozen=True)
@@ -70,48 +76,13 @@ class MetaheuristicParams:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
 
-def _kruskal(node_count: int, pairs, need: int) -> list[tuple[int, int]]:
-    """Minimum spanning forest from (u, v) pairs already in (weight, u, v)
-    order; stops once ``need`` edges are in the forest."""
-    root = list(range(node_count))
-    tree = []
-    for u, v in pairs:
-        a, b = u, v
-        while root[a] != a:
-            root[a] = root[root[a]]
-            a = root[a]
-        while root[b] != b:
-            root[b] = root[root[b]]
-            b = root[b]
-        if a != b:
-            root[a] = b
-            tree.append((u, v))
-            if len(tree) == need:
-                break
-    return tree
-
-
 def _tree_flows(
-    node_count: int,
-    tree: list[tuple[int, int]],
-    source: int,
-    terminals: dict[int, float],
+    parent: list[int], source: int, terminals: dict[int, float]
 ) -> dict[tuple[int, int], float]:
-    """Orient a tree away from the source; each edge carries the maximum
-    demand among terminals in the subtree below it. Edges with no terminal
-    below are left out, which is what pruning non-required leaves removes."""
-    neighbors: list[list[int]] = [[] for _ in range(node_count)]
-    for u, v in tree:
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    parent = [-1] * node_count
-    parent[source] = source
-    order = [source]
-    for x in order:
-        for y in neighbors[x]:
-            if parent[y] < 0:
-                parent[y] = x
-                order.append(y)
+    """Demand-law flows on a source-rooted tree given by ``parent``: each
+    terminal's path up to the source carries the largest demand below it.
+    Edges with no terminal below carry nothing and are left out, which is
+    what pruning non-required leaves removes."""
     flows: dict[tuple[int, int], float] = {}
     for t, demand in terminals.items():
         # every edge above one that already carries >= demand does too
@@ -141,50 +112,54 @@ def solve_mst_prune(inst: Instance) -> FlowSolution:
     return make_solution(inst, dict.fromkeys(decoder.best[1], inst.max_demand()), "mst")
 
 
-def _lexmin_shortest_path_tree(inst: Instance) -> list[tuple[int, int]]:
-    """(parent, child) edges of the lexicographically smallest shortest
-    paths from the source to every reachable node. The paths are
-    prefix-consistent (each settled node has one final path, reused by
-    everything routed through it), so their edges form a tree."""
+def _lexmin_shortest_path_tree(inst: Instance) -> list[int]:
+    """The parent of every node reachable from the source (the source is
+    its own, -1 for the rest) on the lexicographically smallest shortest
+    paths. The paths are prefix-consistent (each settled node has one
+    final path, reused by everything routed through it), so they form a
+    tree."""
     adjacency = inst.graph.adjacency
-    settled: set[int] = set()
-    tree: list[tuple[int, int]] = []
+    parent = [-1] * inst.graph.node_count
+    settled = 0
     heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (inst.source,))]
-    while heap and len(settled) < inst.graph.node_count:
+    while heap and settled < len(parent):
         d, path = heapq.heappop(heap)
         v = path[-1]
-        if v in settled:
+        if parent[v] >= 0:
             continue
-        settled.add(v)
-        if len(path) > 1:
-            tree.append(path[-2:])
+        parent[v] = path[-2] if len(path) > 1 else v
+        settled += 1
         for u, w in adjacency[v]:
-            if u not in settled:
+            if parent[u] < 0:
                 heapq.heappush(heap, (d + w, path + (u,)))
-    return tree
+    return parent
 
 
 def solve_sp_union(inst: Instance) -> FlowSolution:
     """Shortest-path baseline: union the per-terminal shortest paths, each
     edge carrying the maximum demand among the terminals routed over it."""
     require_feasible(inst)
-    tree = _lexmin_shortest_path_tree(inst)
-    flows = _tree_flows(inst.graph.node_count, tree, inst.source, inst.terminals)
+    flows = _tree_flows(_lexmin_shortest_path_tree(inst), inst.source, inst.terminals)
     return make_solution(inst, flows, "spt")
 
 
 class _SubsetDecoder:
     """Decode node subsets into flow solutions, keeping only the incumbent.
 
-    ``edges`` is the graph's Kruskal order, sorted (weight, u, v). A
-    genome is ``bytes``, one 0/1 byte per free node. The decoded solution
-    is the pruned MST of the induced subgraph with demand-law flows, or
-    the penalty when the induced subgraph is disconnected. Nothing is
-    memoised: every ``cost`` call decodes. ``offer`` turns any tree into
-    flows and keeps the incumbent ``best``: the first offered tree of
-    least cost, or ``(penalty, None)`` before one. The penalty lies
-    strictly above every feasible cost, also where the weights are so
-    large that a + 1.0 would be lost to rounding.
+    ``edges`` is the graph's edges sorted (weight, u, v); an edge's rank is
+    its index there. A genome is ``bytes``, one 0/1 byte per free node. The
+    decoded solution is the pruned MST of the induced subgraph with
+    demand-law flows, or the penalty when the induced subgraph is
+    disconnected. Nothing is memoised: every ``cost`` call decodes.
+    ``offer`` turns a rooted tree into flows and keeps the incumbent
+    ``best``: the first offered tree of least cost, or ``(penalty, None)``
+    before one. The penalty is ``model.cost_ceiling``, strictly above
+    every feasible cost.
+
+    ``rooted`` grows the one tree every caller needs, by Prim from the
+    source over edge ranks. Ranks order the edges strictly, and under a
+    strict order a connected graph has one MST, so Prim finds the edges
+    Kruskal would, already rooted at the source.
     """
 
     def __init__(self, inst: Instance):
@@ -196,12 +171,16 @@ class _SubsetDecoder:
         self._required = np.zeros(n, dtype=bool)
         self._required[required] = True
         self.edges = sorted((w, u, v) for u, v, w in inst.graph.edges)
-        self._u = np.array([u for _, u, _ in self.edges], dtype=np.intp)
-        self._v = np.array([v for _, _, v in self.edges], dtype=np.intp)
-        # the whole graph at max demand plus a margin no rounding can lose:
-        # 1.0, or 2^-30 of the total where that is larger (from 2^30 on)
-        base = sum_left(w for _, _, w in inst.graph.edges) * inst.max_demand()
-        self.penalty = base + max(1.0, base * 2**-30)
+        self.ends = ends = [(u, v) for _, u, v in self.edges]
+        self._u = np.array([u for u, _ in ends], dtype=np.intp)
+        self._v = np.array([v for _, v in ends], dtype=np.intp)
+        # the rank bits of the edges at each node
+        self._incident = incident = [0] * n
+        for rank, (u, v) in enumerate(ends):
+            bit = 1 << rank
+            incident[u] |= bit
+            incident[v] |= bit
+        self.penalty = cost_ceiling(inst.graph, inst.max_demand())
         self.best: tuple[float, dict[tuple[int, int], float] | None] = (self.penalty, None)
 
     def random_genome(self, rng: np.random.Generator) -> bytes:
@@ -220,23 +199,44 @@ class _SubsetDecoder:
         mask = self._required.copy()
         mask[self.free[np.frombuffer(genome, dtype=bool)]] = True
         keep = mask[self._u] & mask[self._v]
-        us, vs = self._u[keep], self._v[keep]
         # a selected node on no induced edge disconnects the subgraph
         touched = np.zeros(len(mask), dtype=bool)
-        touched[us] = True
-        touched[vs] = True
+        touched[self._u[keep]] = True
+        touched[self._v[keep]] = True
         if (mask > touched).any():
             return self.penalty
-        need = len(self.inst.terminals) + genome.count(1)
-        tree = _kruskal(len(mask), zip(us.tolist(), vs.tolist()), need)
-        return self.offer(tree) if len(tree) == need else self.penalty
+        parent = self.rooted(int.from_bytes(np.packbits(keep, bitorder="little").tobytes(), "little"))
+        # the tree spans the selection exactly when it has as many nodes
+        if len(parent) - parent.count(-1) < 1 + len(self.inst.terminals) + genome.count(1):
+            return self.penalty
+        return self.offer(parent)
 
-    def offer(self, tree: list[tuple[int, int]]) -> float:
-        """The cost of a tree's demand-law flows; the tree becomes the
-        incumbent when that cost is strictly below the incumbent's."""
-        inst = self.inst
-        flows = _tree_flows(inst.graph.node_count, tree, inst.source, inst.terminals)
-        cost = flow_cost(inst.graph, flows)
+    def rooted(self, allowed: int) -> list[int]:
+        """The parent of each node (the source its own, -1 off the tree) on
+        the MST of the source's component among the edges whose rank bits
+        are set in ``allowed``, grown by Prim. The cut holds the allowed
+        edges with one end on the tree: when v joins, ``cut ^=
+        incident[v] & allowed`` drops v's edges back into the tree and
+        adds those to new nodes. The cheapest edge across is the cut's
+        lowest rank bit."""
+        source, ends, incident = self.inst.source, self.ends, self._incident
+        parent = [-1] * len(incident)
+        parent[source] = source
+        cut = incident[source] & allowed
+        while cut:
+            u, v = ends[(cut & -cut).bit_length() - 1]
+            if parent[v] >= 0:
+                u, v = v, u
+            parent[v] = u
+            cut ^= incident[v] & allowed
+        return parent
+
+    def offer(self, parent: list[int]) -> float:
+        """The cost of the demand-law flows on a source-rooted tree given by
+        ``parent``; the tree becomes the incumbent when that cost is
+        strictly below the incumbent's."""
+        flows = _tree_flows(parent, self.inst.source, self.inst.terminals)
+        cost = flow_cost(self.inst.graph, flows)
         if cost < self.best[0]:
             self.best = (cost, flows)
         return cost
@@ -444,19 +444,17 @@ def solve_aco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
     Each ant routes every terminal with a pheromone-guided walk; the walks
     are merged like the shortest-path union (shared edges carry one stream
     at the larger demand). The union of an ant's walks is cut to its
-    minimum spanning tree (dropping the dearest removable cycle edges),
-    then pruned of non-required leaves, and offered to the incumbent of a
-    ``_SubsetDecoder``. The incumbent deposits pheromone each iteration
+    minimum spanning tree (``_SubsetDecoder.rooted``, which drops the
+    dearest removable cycle edges), then pruned of non-required leaves,
+    and offered to the decoder's incumbent. The incumbent deposits pheromone each iteration
     after evaporation."""
     require_feasible(inst)
     p = p or MetaheuristicParams()
     draws = _Draws(np.random.Generator(np.random.PCG64(p.seed)))
     decoder = _SubsetDecoder(inst)
-    n = inst.graph.node_count
-    # edge ids follow Kruskal order (weight, u, v), so sorted ids are too
-    ordered = decoder.edges
-    edge_id = {(u, v): i for i, (_, u, v) in enumerate(ordered)}
-    ends = [(u, v) for _, u, v in ordered]
+    # edge ids are the decoder's edge ranks
+    ordered, ends = decoder.edges, decoder.ends
+    edge_id = {edge: i for i, edge in enumerate(ends)}
     desir = _edge_values(
         ends, ((1.0 / max(w, 1e-12)) ** p.heuristic_weight for w, _, _ in ordered), "desirability"
     )
@@ -480,9 +478,7 @@ def solve_aco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
             support: set[int] = set()
             for t in terminals:
                 support.update(_ant_walk(draws, inst.source, t, hops))
-            ids = sorted(support)
-            # a spanning tree of the walks' union has at most len(ids) edges
-            decoder.offer(_kruskal(n, (ends[i] for i in ids), len(ids)))
+            decoder.offer(decoder.rooted(sum(1 << i for i in support)))
         pheromone = [x * (1.0 - p.evaporation) for x in pheromone]
         deposit = 1.0 / max(decoder.best[0], 1e-12)
         # a tree's edges are distinct, so each id gets one deposit

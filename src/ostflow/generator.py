@@ -235,11 +235,15 @@ def generate_regular_instance(cfg: GenConfig, degree: int) -> Instance:
     stubs = np.repeat(np.arange(n), degree)
     for _ in range(_REGULAR_ATTEMPTS):
         ends = np.sort(stubs[rng.permutation(len(stubs))].reshape(-1, 2), axis=1)
-        pairs = set(map(tuple, ends.tolist()))
-        if (ends[:, 0] == ends[:, 1]).any() or len(pairs) < len(ends):
+        if (ends[:, 0] == ends[:, 1]).any():
             continue
-        if _connected(n, pairs):
-            return _finish_instance(rng, cfg, *zip(*sorted(pairs)))
+        # keys u * n + v sort as the pairs (u, v) do; a repeat is a duplicate
+        keys = np.sort(ends[:, 0] * n + ends[:, 1])
+        if (keys[1:] == keys[:-1]).any():
+            continue
+        tails, heads = (keys // n).tolist(), (keys % n).tolist()
+        if _connected(n, zip(tails, heads)):
+            return _finish_instance(rng, cfg, tails, heads)
     for _ in range(_REGULAR_ATTEMPTS):
         pairs = _sequential_pairing(rng, n, degree)
         if pairs is not None and _connected(n, pairs):

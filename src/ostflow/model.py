@@ -54,12 +54,12 @@ _FIELD_RULES = {"int": (as_int, "an integer"), "float": (as_float, "a number")}
 
 
 def require_fields(obj, error=ValueError) -> None:
-    """Raise ``error`` naming the first field of dataclass ``obj`` annotated
-    ``int`` that holds no integer (:func:`as_int`), or ``float`` that holds
-    no number (:func:`as_float`). Annotations must be strings, as under
-    ``from __future__ import annotations``."""
+    """Raise ``error`` naming the first init field of dataclass ``obj``
+    annotated ``int`` that holds no integer (:func:`as_int`), or ``float``
+    that holds no number (:func:`as_float`). Annotations must be strings,
+    as under ``from __future__ import annotations``."""
     for f in fields(obj):
-        rule, kind = _FIELD_RULES.get(f.type, (None, None))
+        rule, kind = _FIELD_RULES.get(f.type, (None, None)) if f.init else (None, None)
         if rule and rule(getattr(obj, f.name)) is None:
             raise error(f"{f.name} must be {kind}, got {getattr(obj, f.name)!r}")
 
@@ -71,8 +71,9 @@ class Graph:
     Node ids are integers (:func:`as_int`), stored as one shared int per
     node. Edge weights are real numbers (:func:`as_float`) stored as floats:
     finite, nonnegative unit transmission costs. Edges are stored normalized
-    (u < v) and sorted; ``adjacency`` and the weight lookup are derived at
-    construction. Instances are treated as immutable.
+    (u < v) and sorted; ``adjacency``, ``total_weight`` (the weights added
+    in that order; inf where they overflow) and the weight lookup are
+    derived at construction. Instances are treated as immutable.
     """
 
     node_count: int
@@ -80,6 +81,7 @@ class Graph:
     adjacency: tuple[tuple[tuple[int, float], ...], ...] = field(
         init=False, repr=False, compare=False
     )
+    total_weight: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_fields(self, InstanceError)
@@ -126,10 +128,13 @@ class Graph:
         # in sorted edge order a node's lower neighbours come first, each
         # side ascending, so every list is in neighbour order as built
         adj: list[list[tuple[int, float]]] = [[] for _ in ids]
+        total = 0.0
         for u, v, w in normalized:
             adj[u].append((v, w))
             adj[v].append((u, w))
+            total += w
         object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))
+        object.__setattr__(self, "total_weight", total)
 
     @property
     def edge_count(self) -> int:
@@ -185,11 +190,23 @@ class Instance:
         return max(self.terminals.values())
 
 
+def cost_ceiling(graph: Graph, demand: float) -> float:
+    """A cost strictly above that of any flow of at most ``demand`` per
+    edge: ``graph.total_weight * demand`` plus a margin no rounding can
+    lose, 1.0 or 2^-30 of the product where that is larger (from 2^30
+    on). inf where it overflows, which :func:`instance_problems` refuses
+    at the largest demand."""
+    base = graph.total_weight * demand
+    return base + max(1.0, base * 2**-30)
+
+
 def instance_problems(inst: Instance) -> list[str]:
     """Violations of the construction invariants, empty = none: source,
-    terminal ids and demands, in O(K) with no graph search. ``Instance``
-    raises on the first; the terminals dict stays mutable, so a solver
-    re-checks before it indexes a table by terminal id."""
+    terminal ids and demands, and a cost bound that overflows a float
+    (:func:`cost_ceiling` at the largest demand), in O(K) with no graph
+    search. ``Instance`` raises on the first; the terminals dict stays
+    mutable, so a solver re-checks before it indexes a table by terminal
+    id."""
     problems = []
     n = inst.graph.node_count
     source_ok = as_int(inst.source) is not None
@@ -220,6 +237,12 @@ def instance_problems(inst: Instance) -> list[str]:
             problems.append(f"terminal {t} has non-finite demand {number}")
         elif demand <= 0:
             problems.append(f"terminal {t} has nonpositive demand {demand}")
+    if not problems and cost_ceiling(inst.graph, inst.max_demand()) == math.inf:
+        u, v, w = max(inst.graph.edges, key=lambda e: e[2])
+        problems.append(
+            f"total edge weight {inst.graph.total_weight} x largest demand {inst.max_demand()}"
+            f" overflows a float cost bound; the heaviest edge is ({u}, {v}) with weight {w}"
+        )
     return problems
 
 

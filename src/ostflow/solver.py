@@ -38,6 +38,11 @@ and the one-terminal layer is a shortest-path pass from each terminal, so
 once it is grown a terminal reaches the source exactly where its row is
 finite there. The full validator (``require_feasible``, a BFS) runs only
 where that reads inf, to report which terminals are unreachable.
+
+Every reachable state costs at most ``model.cost_ceiling`` at the largest
+demand, which the construction invariants keep finite. A merge or grow
+candidate above it may still overflow to inf; that never wins a minimum,
+so ``solve_ost`` lets it pass without a numpy warning.
 """
 
 from __future__ import annotations
@@ -395,9 +400,8 @@ def solve_ost(inst: Instance) -> FlowSolution:
     ``validate_instance``'s report, when the instance breaks a construction
     invariant (checked first) or some terminal is unreachable (read from
     the grown one-terminal rows at the source). The full validator runs
-    only where such a row is inf (an overflowing weight times demand also
-    reads inf) or where ``dp_init`` refuses the table, so infeasibility is
-    reported ahead of the table's size.
+    only where such a row is inf or where ``dp_init`` refuses the table,
+    so infeasibility is reported ahead of the table's size.
     """
     problems = instance_problems(inst)
     if problems:
@@ -410,11 +414,12 @@ def solve_ost(inst: Instance) -> FlowSolution:
     k = len(table.terminal_index)
     masks = np.arange(1, 1 << k)
     popcount = sum((masks >> i) & 1 for i in range(k))
-    for p in range(1, k + 1):
-        layer = masks[popcount == p]
-        if p > 1:
-            dp_merge(table, layer)
-        dp_grow(table, layer)
-        if p == 1 and np.isinf(table.cost[layer, inst.source]).any():
-            require_feasible(inst)
+    with np.errstate(over="ignore"):
+        for p in range(1, k + 1):
+            layer = masks[popcount == p]
+            if p > 1:
+                dp_merge(table, layer)
+            dp_grow(table, layer)
+            if p == 1 and np.isinf(table.cost[layer, inst.source]).any():
+                require_feasible(inst)
     return reconstruct(table, inst, inst.source, (1 << k) - 1)

@@ -210,9 +210,16 @@ def generator_golden_instance(spec: dict):
 
 def reference_regular_instance(cfg: GenConfig, degree: int):
     """``generate_regular_instance`` with the pairing checked pair by pair
-    in Python, the reference for its vectorised check (valid degrees only)."""
+    in Python, the reference for its vectorised check (valid degrees only).
+    Returns ``(instance, sampler)``, the sampler being ``"pairing"`` or
+    ``"sequential"``, or None where both run out of attempts."""
+    n = cfg.node_count
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    stubs = np.repeat(np.arange(cfg.node_count), degree)
+    stubs = np.repeat(np.arange(n), degree)
+
+    def connected(pairs):
+        return len(Graph(n, tuple((u, v, 1.0) for u, v in pairs)).reachable_from(0)) == n
+
     for _ in range(generator._REGULAR_ATTEMPTS):
         shuffled = stubs[rng.permutation(len(stubs))].tolist()
         pairs = set()
@@ -221,10 +228,73 @@ def reference_regular_instance(cfg: GenConfig, degree: int):
                 break
             pairs.add((min(u, v), max(u, v)))
         else:
-            graph = Graph(cfg.node_count, tuple((u, v, 1.0) for u, v in pairs))
-            if len(graph.reachable_from(0)) == cfg.node_count:
-                return generator._finish_instance(rng, cfg, *zip(*sorted(pairs)))
+            if connected(pairs):
+                return generator._finish_instance(rng, cfg, *zip(*sorted(pairs))), "pairing"
+    for _ in range(generator._REGULAR_ATTEMPTS):
+        pairs = generator._sequential_pairing(rng, n, degree)
+        if pairs is not None and connected(pairs):
+            return generator._finish_instance(rng, cfg, *zip(*pairs)), "sequential"
     return None
+
+
+def reference_kruskal(node_count: int, pairs, need: int) -> list[tuple[int, int]]:
+    """Minimum spanning forest by union-find from (u, v) pairs already in
+    (weight, u, v) order, stopped once ``need`` edges are in it: the tree
+    baselines' spanning-tree step before ``_SubsetDecoder.rooted``."""
+    root = list(range(node_count))
+    tree = []
+    for u, v in pairs:
+        a, b = u, v
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        while root[b] != b:
+            root[b] = root[root[b]]
+            b = root[b]
+        if a != b:
+            root[a] = b
+            tree.append((u, v))
+            if len(tree) == need:
+                break
+    return tree
+
+
+def reference_tree_flows(inst: Instance, tree: list[tuple[int, int]]) -> dict:
+    """Demand-law flows on ``tree`` after a BFS orients all of it away from
+    the source: the tree baselines' flow step before the parent array."""
+    neighbors = [[] for _ in range(inst.graph.node_count)]
+    for u, v in tree:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    parent = [-1] * inst.graph.node_count
+    parent[inst.source] = inst.source
+    order = [inst.source]
+    for x in order:
+        for y in neighbors[x]:
+            if parent[y] < 0:
+                parent[y] = x
+                order.append(y)
+    flows = {}
+    for t, demand in inst.terminals.items():
+        x = t
+        while x != inst.source and flows.get((parent[x], x), 0.0) < demand:
+            flows[(parent[x], x)] = demand
+            x = parent[x]
+    return flows
+
+
+def reference_genome_flows(inst: Instance, genome: bytes):
+    """A genome's decode by Kruskal and BFS, the reference for
+    ``_SubsetDecoder.cost``: the flows on the pruned MST of the subgraph
+    induced by the source, the terminals and the free nodes the genome
+    selects, or None when fewer edges than selected nodes minus one join."""
+    required = {inst.source, *inst.terminals}
+    free = sorted(inst.graph.reachable_from(inst.source) - required)
+    selected = required | {x for x, bit in zip(free, genome) if bit}
+    pairs = [(u, v) for _, u, v in sorted((w, u, v) for u, v, w in inst.graph.edges)
+             if u in selected and v in selected]
+    tree = reference_kruskal(inst.graph.node_count, pairs, len(selected) - 1)
+    return reference_tree_flows(inst, tree) if len(tree) == len(selected) - 1 else None
 
 
 def reference_positive_uniform(rng) -> float:

@@ -21,7 +21,7 @@ from ostflow import (
     solve_sp_union,
 )
 from ostflow.baselines import _ant_walk, _Draws, _SubsetDecoder
-from ostflow.model import sum_left
+from ostflow.model import flow_cost, sum_left
 
 from helpers import (
     BASELINES,
@@ -32,9 +32,13 @@ from helpers import (
     golden_instance,
     overflowing_star_instance,
     reference_ant_walk,
+    reference_genome_flows,
+    reference_kruskal,
+    reference_tree_flows,
     reference_uniform_draws,
     solution_fingerprint,
     stray_component_instance,
+    tie_golden_instance,
 )
 
 FAST = MetaheuristicParams(population=16, iterations=25, ant_count=8, seed=5)
@@ -280,18 +284,19 @@ def test_decoder_start_and_incumbent():
     assert close(decoder.cost(b"\x00\x00\x00"), 1.0)
     assert decoder.cost(b"\x00\x00\x01") == decoder.penalty
     assert decoder.best is first
-    # offered trees follow the same rule: an equal-cost tree (its spare
-    # edge 0-3 carries nothing) and a dearer one leave the first in place
-    assert decoder.offer([(2, 1), (0, 2), (0, 3)]) == first[0]
-    assert decoder.offer([(0, 1), (0, 2)]) == 1.0
+    # offered trees, given by parent (the source its own, -1 off the tree),
+    # follow the same rule: an equal-cost tree (its spare edge 0-3 carries
+    # nothing) and a dearer one leave the first in place
+    assert decoder.offer([0, 2, 0, 0, -1]) == first[0]
+    assert decoder.offer([0, 0, 0, -1, -1]) == 1.0
     assert decoder.best is first
     # an infeasible decode never becomes the incumbent, even with none yet
     fresh = _SubsetDecoder(inst)
     assert fresh.cost(b"\x00\x00\x01") == fresh.penalty
     assert fresh.best == (fresh.penalty, None)
     # a cheaper offered tree replaces the incumbent
-    assert fresh.offer([(0, 1)]) == 1.0 and fresh.best[1] == {(0, 1): 1.0}
-    assert fresh.offer([(0, 2), (1, 2)]) == first[0]
+    assert fresh.offer([0, 0, -1, -1, -1]) == 1.0 and fresh.best[1] == {(0, 1): 1.0}
+    assert fresh.offer([0, 2, 0, -1, -1]) == first[0]
     assert fresh.best == first
     # where a + 1.0 would be lost to rounding, the penalty still lies
     # strictly above a feasible cost
@@ -378,3 +383,60 @@ def test_ant_walk_matches_reference():
             assert draws.used() == reference_used, (table, target)
             walks += 1
     assert walks >= 500 and draws.blocks >= 2
+
+
+def _tree_instance(rule: str, seed: int):
+    """An instance for the tree references: generated weights ("random"),
+    tie-prone rewrites of them (see ``tie_golden_instance``) or the
+    stray-component instance ("stray")."""
+    if rule == "stray":
+        return stray_component_instance()
+    spec = dict(node_count=40, avg_degree=4, terminal_count=6, seed=seed, regular_degree=None)
+    if rule == "random":
+        return generate_instance(GenConfig(**{k: v for k, v in spec.items() if k != "regular_degree"}))
+    return tie_golden_instance({**spec, "weights": rule})
+
+
+def _recorded_calls(monkeypatch, inst, name: str, solver) -> list:
+    """The arguments of every ``_SubsetDecoder.<name>`` call in one solve."""
+    calls = []
+    method = getattr(_SubsetDecoder, name)
+
+    def record(self, *args):
+        calls.append(args)
+        return method(self, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_SubsetDecoder, name, record)
+        solver(inst, MetaheuristicParams(population=12, iterations=12, ant_count=6, seed=3))
+    return calls
+
+
+@pytest.mark.parametrize("rule", ["random", "round1", "round2", "unit", "zero", "stray"])
+def test_rooted_prim_matches_kruskal_and_bfs_reference(monkeypatch, rule):
+    # same cost for every genome GA and BCO decode and every ant support
+    # ACO offers, and the same incumbent flows, as Kruskal plus a BFS
+    for seed in (0, 1):
+        inst = _tree_instance(rule, seed)
+        for solver in (solve_ga, solve_bco):
+            decoder = _SubsetDecoder(inst)
+            best = (decoder.penalty, None)
+            for (genome,) in _recorded_calls(monkeypatch, inst, "cost", solver):
+                flows = reference_genome_flows(inst, genome)
+                cost = decoder.penalty if flows is None else flow_cost(inst.graph, flows)
+                assert decoder.cost(genome) == cost, (rule, seed, solver.__name__)
+                if cost < best[0]:
+                    best = (cost, flows)
+            assert decoder.best == best and best[1] is not None
+        decoder = _SubsetDecoder(inst)
+        best = (decoder.penalty, None)
+        supports = _recorded_calls(monkeypatch, inst, "rooted", solve_aco)
+        assert supports
+        for (allowed,) in supports:
+            ids = [i for i in range(len(decoder.ends)) if allowed >> i & 1]
+            tree = reference_kruskal(inst.graph.node_count, [decoder.ends[i] for i in ids], len(ids))
+            cost = flow_cost(inst.graph, reference_tree_flows(inst, tree))
+            assert decoder.offer(decoder.rooted(allowed)) == cost, (rule, seed)
+            if cost < best[0]:
+                best = (cost, reference_tree_flows(inst, tree))
+        assert decoder.best == best

@@ -17,9 +17,10 @@ from ostflow import (
     SweepConfig,
     SweepKind,
 )
-from ostflow.model import as_float, as_int
+from ostflow.model import as_float, as_int, cost_ceiling
 
 PATH = Graph(3, ((0, 1, 0.5), (1, 2, 0.5)))
+MAX = 1.7976931348623157e308  # the largest float: finite, but no margin fits above it
 GEN = dict(node_count=10, avg_degree=3, terminal_count=2)
 SWEEP = dict(sweep_kind=SweepKind.NODE_COUNT, values=(10,), trials=1)
 
@@ -40,6 +41,18 @@ SWEEP = dict(sweep_kind=SweepKind.NODE_COUNT, values=(10,), trials=1)
          "terminal 2 has non-numeric demand True"),
         (lambda: Instance(PATH, 0, {2: 10**400}), InstanceError,
          "terminal 2 has non-finite demand inf"),
+        # weight x demand: the cost bound (model.cost_ceiling) must be finite
+        (lambda: Instance(Graph(3, ((0, 1, 1e308), (1, 2, 1.0))), 0, {2: 10.0}), InstanceError,
+         "total edge weight 1e+308 x largest demand 10.0 overflows a float cost bound;"
+         " the heaviest edge is (0, 1) with weight 1e+308"),
+        (lambda: Instance(Graph(3, ((0, 1, 1e308), (1, 2, 1e308))), 0, {2: 1e-300}),
+         InstanceError,
+         "total edge weight inf x largest demand 1e-300 overflows a float cost bound;"
+         " the heaviest edge is (0, 1) with weight 1e+308"),
+        (lambda: Instance(Graph(3, ((0, 1, 1.0), (1, 2, MAX))), 0, {1: 0.5, 2: 1.0}),
+         InstanceError,
+         f"total edge weight {MAX} x largest demand 1.0 overflows a float cost bound;"
+         f" the heaviest edge is (1, 2) with weight {MAX}"),
         # Graph weights
         (lambda: Graph(3, ((0, 1, 10**400),)), InstanceError,
          "edge (0, 1) has non-finite weight inf"),
@@ -115,3 +128,12 @@ def test_integer_and_number_rules():
     assert [as_float(x) for x in (10**400, -(10**400))] == [math.inf, -math.inf]
     assert [as_float(x) for x in (False, "0.5", None, 1j)] == [None] * 4
     assert math.isnan(as_float(math.nan))
+
+
+def test_cost_bound_just_below_the_float_limit_is_accepted():
+    # 2^-30 of the product fits above 1e308, so every solver has a finite
+    # penalty; the same weight at the largest float does not
+    inst = Instance(Graph(3, ((0, 1, 1e308), (1, 2, 1.0))), 0, {2: 1.0})
+    assert inst.graph.total_weight == 1e308
+    assert math.isfinite(cost_ceiling(inst.graph, inst.max_demand()))
+    assert cost_ceiling(inst.graph, inst.max_demand()) > 1e308

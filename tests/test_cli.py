@@ -89,6 +89,23 @@ def test_solve_non_finite_instance_exits_1(capsys, tmp_path, w1_path, old, new, 
     assert message in err
 
 
+@pytest.mark.parametrize("algorithm", ["ost", "mst", "spt", "ga", "aco", "bco"])
+def test_solve_overflowing_cost_bound_exits_1(capsys, tmp_path, algorithm):
+    # 1e308 x demand 10 overflows: refused on reading, before any solver
+    doc = {
+        "nodes": 3,
+        "edges": [[0, 1, 1e308], [1, 2, 1.0]],
+        "source": 0,
+        "terminals": [{"node": 2, "demand": 10.0}],
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "solve", "--instance", path, "--algorithm", algorithm)
+    assert code == 1 and out == ""
+    assert err == ("ostflow: total edge weight 1e+308 x largest demand 10.0 overflows a float"
+                   " cost bound; the heaviest edge is (0, 1) with weight 1e+308\n")
+
+
 def test_solve_infeasible_instance_exits_2(capsys, tmp_path):
     doc = {
         "nodes": 4,

@@ -143,11 +143,22 @@ def test_regular_instance_matches_pairwise_reference(n, degree):
     # falls back to sequential pairing, so both outcomes are compared
     for seed in range(5):
         cfg = GenConfig(node_count=n, avg_degree=4, terminal_count=5, seed=seed)
-        expected = reference_regular_instance(cfg, degree)
-        if expected is None:
-            _assert_regular(generate_regular_instance(cfg, degree), n, degree)
-        else:
-            assert generate_regular_instance(cfg, degree) == expected
+        expected, _ = reference_regular_instance(cfg, degree)
+        assert generate_regular_instance(cfg, degree) == expected
+
+
+@pytest.mark.parametrize("n,degree", [(30, 6), (20, 7), (20, 8)])
+def test_regular_instance_at_high_degree_matches_pairwise_reference(n, degree):
+    # most pairings are rejected here, by the self-loop or the duplicate
+    # check; degree 6 on 30 nodes finds a simple connected pairing at
+    # seed 2, and every other case falls back to sequential pairing
+    samplers = set()
+    for seed in range(6):
+        cfg = GenConfig(node_count=n, avg_degree=4, terminal_count=5, seed=seed)
+        expected, sampler = reference_regular_instance(cfg, degree)
+        assert generate_regular_instance(cfg, degree) == expected
+        samplers.add(sampler)
+    assert samplers == ({"pairing", "sequential"} if degree == 6 else {"sequential"})
 
 
 @pytest.mark.parametrize("degree", [6, 7, 8])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from ostflow import (
     make_solution,
     validate_instance,
 )
+from ostflow.model import sum_left
 
 
 def test_graph_normalizes_and_sorts_edges():
@@ -16,6 +19,14 @@ def test_graph_normalizes_and_sorts_edges():
     assert g.edge_count == 3
     assert g.weight(3, 0) == 0.3
     assert g.has_edge(0, 1) and not g.has_edge(0, 2)
+
+
+def test_graph_total_weight_adds_in_sorted_edge_order():
+    # sorted, 1.0 + 1.0 + 1e16 is 1e16 + 2; in the given order it reads 1e16
+    g = Graph(3, ((1, 2, 1e16), (0, 1, 1.0), (0, 2, 1.0)))
+    assert g.total_weight == sum_left(w for _, _, w in g.edges) == 1e16 + 2
+    assert Graph(2, ()).total_weight == 0.0
+    assert Graph(3, ((0, 1, 1e308), (1, 2, 1e308))).total_weight == math.inf
 
 
 def test_graph_adjacency_is_symmetric_closure():

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -217,12 +218,32 @@ def test_solve_ost_checks_terminals_mutated_after_construction_before_any_table(
     assert exc.value.report == validate_instance(w1) == [f"terminal {bad} outside [0, 4)"]
 
 
-def test_solve_ost_on_an_overflowing_edge_cost_names_the_unreached_state():
-    # 1e308 x demand 10 is inf: terminal 2 reaches the source, its row does not
-    inst = Instance(Graph(3, ((0, 1, 1e308), (1, 2, 1.0))), 0, {2: 10.0})
-    with np.errstate(over="ignore"), pytest.raises(ValueError) as exc:
+def test_solve_ost_on_an_overflowing_edge_cost_is_refused_at_the_boundary():
+    # 1e308 x demand 10 is inf: the instance is refused, naming the edge,
+    # also where the demand is raised after construction
+    graph = Graph(3, ((0, 1, 1e308), (1, 2, 1.0)))
+    message = (
+        "total edge weight 1e+308 x largest demand 10.0 overflows a float cost bound;"
+        " the heaviest edge is (0, 1) with weight 1e+308"
+    )
+    with pytest.raises(InstanceError) as exc:
+        Instance(graph, 0, {2: 10.0})
+    assert str(exc.value) == message
+    inst = Instance(graph, 0, {2: 1.0})
+    inst.terminals[2] = 10.0
+    with pytest.raises(InfeasibleInstanceError) as exc:
         solve_ost(inst)
-    assert str(exc.value) == "unreachable state (node 0, subset 0x1)"
+    assert exc.value.report == [message]
+
+
+def test_solve_ost_below_the_overflow_bound_is_exact_without_warnings():
+    # candidates that revisit a 6e307 edge overflow to inf and lose quietly
+    inst = Instance(Graph(3, ((0, 1, 6e307), (0, 2, 6e307))), 0, {1: 1.0, 2: 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_ost(inst)
+    assert sol.cost == 1.2e308
+    assert sol.flows == {(0, 1): 1.0, (0, 2): 1.0}
 
 
 def test_solve_ost_runs_no_reachability_search(monkeypatch):
