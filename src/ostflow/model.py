@@ -59,8 +59,8 @@ def require_fields(obj, error=ValueError) -> None:
     that holds no number (:func:`as_float`). Annotations must be strings,
     as under ``from __future__ import annotations``."""
     for f in fields(obj):
-        rule, kind = _FIELD_RULES.get(f.type, (None, None)) if f.init else (None, None)
-        if rule and rule(getattr(obj, f.name)) is None:
+        rule, kind = _FIELD_RULES.get(f.type, (None, None))
+        if f.init and rule and rule(getattr(obj, f.name)) is None:
             raise error(f"{f.name} must be {kind}, got {getattr(obj, f.name)!r}")
 
 

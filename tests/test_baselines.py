@@ -391,10 +391,10 @@ def _tree_instance(rule: str, seed: int):
     stray-component instance ("stray")."""
     if rule == "stray":
         return stray_component_instance()
-    spec = dict(node_count=40, avg_degree=4, terminal_count=6, seed=seed, regular_degree=None)
+    spec = dict(node_count=40, avg_degree=4, terminal_count=6, seed=seed)
     if rule == "random":
-        return generate_instance(GenConfig(**{k: v for k, v in spec.items() if k != "regular_degree"}))
-    return tie_golden_instance({**spec, "weights": rule})
+        return generate_instance(GenConfig(**spec))
+    return tie_golden_instance({**spec, "regular_degree": None, "weights": rule})
 
 
 def _recorded_calls(monkeypatch, inst, name: str, solver) -> list:
@@ -435,8 +435,9 @@ def test_rooted_prim_matches_kruskal_and_bfs_reference(monkeypatch, rule):
         for (allowed,) in supports:
             ids = [i for i in range(len(decoder.ends)) if allowed >> i & 1]
             tree = reference_kruskal(inst.graph.node_count, [decoder.ends[i] for i in ids], len(ids))
-            cost = flow_cost(inst.graph, reference_tree_flows(inst, tree))
+            flows = reference_tree_flows(inst, tree)
+            cost = flow_cost(inst.graph, flows)
             assert decoder.offer(decoder.rooted(allowed)) == cost, (rule, seed)
             if cost < best[0]:
-                best = (cost, reference_tree_flows(inst, tree))
+                best = (cost, flows)
         assert decoder.best == best
