@@ -17,8 +17,13 @@ tree and offers that tree to the same incumbent.
 
 Every such tree comes from one routine, ``_SubsetDecoder.rooted``: Prim
 from the source over edge-rank bitsets, which returns the parent array
-the demand walk-up reads. SPT's shortest-path tree feeds the same
-walk-up.
+the demand walk-up reads; a genome's edges are such a bitset too, so a
+decode makes no numpy call. SPT's shortest-path tree feeds the same
+walk-up. Consecutive draws merge into one call (GA's two tournaments of
+a child, its crossover test with the first mask, BCO's employed flip
+bits) on the same stream: numpy's bounded draws below 2**32 take 32-bit
+halves from the bit generator's ``has_uint32`` buffer, so one draw of
+size 2k equals two of size k, and ``random(n)`` yields n scalar draws.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import heapq
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, compress
 
 import numpy as np
 
@@ -103,7 +108,6 @@ def solve_mst_prune(inst: Instance) -> FlowSolution:
     Deliberately wasteful on purpose: the flow is not differentiated per
     subtree, which is exactly what this baseline models.
     """
-    require_feasible(inst)
     decoder = _SubsetDecoder(inst)
     # the source's component is the source, the terminals and the free nodes
     if len(decoder.free) + 1 + len(inst.terminals) < inst.graph.node_count:
@@ -146,11 +150,14 @@ def solve_sp_union(inst: Instance) -> FlowSolution:
 class _SubsetDecoder:
     """Decode node subsets into flow solutions, keeping only the incumbent.
 
+    Its free nodes come from ``require_feasible``'s reachability search.
     ``edges`` is the graph's edges sorted (weight, u, v); an edge's rank is
     its index there. A genome is ``bytes``, one 0/1 byte per free node. The
     decoded solution is the pruned MST of the induced subgraph with
     demand-law flows, or the penalty when the induced subgraph is
-    disconnected. Nothing is memoised: every ``cost`` call decodes.
+    disconnected; its induced edges are the rank bits of the source
+    component's edges less those at unselected free nodes. Nothing is
+    memoised: every ``cost`` call decodes.
     ``offer`` turns a rooted tree into flows and keeps the incumbent
     ``best``: the first offered tree of least cost, or ``(penalty, None)``
     before one. The penalty is ``model.cost_ceiling``, strictly above
@@ -162,24 +169,24 @@ class _SubsetDecoder:
     Kruskal would, already rooted at the source.
     """
 
+    _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")  # a genome's complement
+
     def __init__(self, inst: Instance):
         self.inst = inst
-        n = inst.graph.node_count
-        required = [inst.source, *inst.terminals]
-        reachable = inst.graph.reachable_from(inst.source)
-        self.free = np.array(sorted(reachable - set(required)), dtype=np.intp)
-        self._required = np.zeros(n, dtype=bool)
-        self._required[required] = True
+        reachable = require_feasible(inst)
+        self._required = required = [inst.source, *inst.terminals]
+        self.free = sorted(reachable.difference(required))
         self.edges = sorted((w, u, v) for u, v, w in inst.graph.edges)
         self.ends = ends = [(u, v) for _, u, v in self.edges]
-        self._u = np.array([u for u, _ in ends], dtype=np.intp)
-        self._v = np.array([v for _, v in ends], dtype=np.intp)
         # the rank bits of the edges at each node
-        self._incident = incident = [0] * n
+        self._incident = incident = [0] * inst.graph.node_count
         for rank, (u, v) in enumerate(ends):
             bit = 1 << rank
             incident[u] |= bit
             incident[v] |= bit
+        self._component = 0
+        for v in reachable:
+            self._component |= incident[v]
         self.penalty = cost_ceiling(inst.graph, inst.max_demand())
         self.best: tuple[float, dict[tuple[int, int], float] | None] = (self.penalty, None)
 
@@ -196,16 +203,16 @@ class _SubsetDecoder:
 
     def cost(self, genome: bytes) -> float:
         """The decoded cost of a genome; the penalty when infeasible."""
-        mask = self._required.copy()
-        mask[self.free[np.frombuffer(genome, dtype=bool)]] = True
-        keep = mask[self._u] & mask[self._v]
+        incident, free = self._incident, self.free
+        dropped = 0
+        for v in compress(free, genome.translate(self._FLIP)):
+            dropped |= incident[v]
+        allowed = self._component & ~dropped
         # a selected node on no induced edge disconnects the subgraph
-        touched = np.zeros(len(mask), dtype=bool)
-        touched[self._u[keep]] = True
-        touched[self._v[keep]] = True
-        if (mask > touched).any():
-            return self.penalty
-        parent = self.rooted(int.from_bytes(np.packbits(keep, bitorder="little").tobytes(), "little"))
+        for v in chain(self._required, compress(free, genome)):
+            if not incident[v] & allowed:
+                return self.penalty
+        parent = self.rooted(allowed)
         # the tree spans the selection exactly when it has as many nodes
         if len(parent) - parent.count(-1) < 1 + len(self.inst.terminals) + genome.count(1):
             return self.penalty
@@ -242,13 +249,6 @@ class _SubsetDecoder:
         return cost
 
 
-def _tournament(
-    rng: np.random.Generator, fits: list[float], size: int
-) -> int:
-    picks = rng.integers(0, len(fits), size=size).tolist()
-    return min(picks, key=lambda i: (fits[i], i))
-
-
 def solve_ga(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolution:
     """Genetic algorithm over node-inclusion genomes.
 
@@ -256,29 +256,33 @@ def solve_ga(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSoluti
     genome, every free node selected, plus random genomes) and the result
     is the decoder's incumbent. Elitism keeps the incumbent alive: the
     elite is carried with its cost, so each generation after the first
-    decodes only its children.
+    decodes only its children. The first mask a child draws is its
+    crossover mask, or its mutation mask when there is no crossover.
     """
-    require_feasible(inst)
     p = p or MetaheuristicParams()
     decoder = _SubsetDecoder(inst)
     rng = np.random.Generator(np.random.PCG64(p.seed))
-    length = len(decoder.free)
+    length, k = len(decoder.free), p.tournament_size
     population = decoder.first_genomes(rng, p.population)
     fits: list[float] = []
+
+    def fitness(i: int) -> tuple[float, int]:
+        return fits[i], i
+
     for _ in range(p.iterations):
         fits += [decoder.cost(genome) for genome in population[len(fits) :]]
-        elite = min(range(len(population)), key=lambda i: (fits[i], i))
+        elite = min(range(len(population)), key=fitness)
         children = [population[elite]]
         while len(children) < p.population:
-            a = population[_tournament(rng, fits, p.tournament_size)]
-            b = population[_tournament(rng, fits, p.tournament_size)]
-            child = a
-            if length:
-                genes = np.frombuffer(a, dtype=bool)
-                if rng.random() < p.crossover_rate:
-                    genes = np.where(rng.random(length) < 0.5, genes, np.frombuffer(b, dtype=bool))
-                child = (genes ^ (rng.random(length) < p.mutation_rate)).tobytes()
-            children.append(child)
+            picks = rng.integers(0, len(fits), size=2 * k).tolist()
+            genes = np.frombuffer(population[min(picks[:k], key=fitness)], dtype=bool)
+            draws = rng.random(1 + length)
+            mask = draws[1:]
+            if draws[0] < p.crossover_rate:
+                b = population[min(picks[k:], key=fitness)]
+                genes = np.where(mask < 0.5, genes, np.frombuffer(b, dtype=bool))
+                mask = rng.random(length)
+            children.append((genes ^ (mask < p.mutation_rate)).tobytes())
         population = children
         fits = [fits[elite]]
     return make_solution(inst, decoder.best[1], "ga")
@@ -293,7 +297,6 @@ def solve_bco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
     the population per iteration). The sites start from the decoder's
     seeded start, scouts draw the decoder's random genomes (decoded in the
     next employed pass), and the result is the decoder's incumbent."""
-    require_feasible(inst)
     p = p or MetaheuristicParams()
     decoder = _SubsetDecoder(inst)
     rng = np.random.Generator(np.random.PCG64(p.seed))
@@ -302,11 +305,10 @@ def solve_bco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
     costs: list[float | None] = [None] * p.population
     stale = [0] * p.population
 
-    def improve(i: int) -> bool:
-        """Move site i to a flip of one of its bits if that costs less."""
+    def improve(i: int, bit: int) -> bool:
+        """Move site i to its flip at ``bit`` if that costs less."""
         trial = sites[i]
         if length:
-            bit = int(rng.integers(0, length))
             trial = trial[:bit] + bytes((trial[bit] ^ 1,)) + trial[bit + 1 :]
         t_cost = decoder.cost(trial)
         if t_cost < costs[i]:
@@ -317,16 +319,17 @@ def solve_bco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
 
     max_scouts = max(1, math.ceil(p.scout_fraction * p.population))
     for _ in range(p.iterations):
-        for i in range(p.population):
+        bits = rng.integers(0, length, size=p.population).tolist() if length else [0] * p.population
+        for i, bit in enumerate(bits):
             if costs[i] is None:
                 costs[i] = decoder.cost(sites[i])
-            improve(i)
+            improve(i, bit)
         # onlookers take the first site whose running weight reaches
         # r * total, or the last site if rounding leaves none
         running = list(accumulate(1.0 / (1.0 + c) for c in costs))
         for _ in range(p.population):
             j = min(bisect_left(running, rng.random() * running[-1]), p.population - 1)
-            if improve(j):
+            if improve(j, int(rng.integers(0, length)) if length else 0):
                 running = list(accumulate(1.0 / (1.0 + c) for c in costs))
         stuck = sorted(
             (i for i in range(p.population) if stale[i] > p.abandonment_limit),
@@ -448,13 +451,13 @@ def solve_aco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
     dearest removable cycle edges), then pruned of non-required leaves,
     and offered to the decoder's incumbent. The incumbent deposits pheromone each iteration
     after evaporation."""
-    require_feasible(inst)
     p = p or MetaheuristicParams()
     draws = _Draws(np.random.Generator(np.random.PCG64(p.seed)))
     decoder = _SubsetDecoder(inst)
     # edge ids are the decoder's edge ranks
     ordered, ends = decoder.edges, decoder.ends
     edge_id = {edge: i for i, edge in enumerate(ends)}
+    bits = [1 << i for i in range(len(ends))]
     desir = _edge_values(
         ends, ((1.0 / max(w, 1e-12)) ** p.heuristic_weight for w, _, _ in ordered), "desirability"
     )
@@ -478,7 +481,7 @@ def solve_aco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
             support: set[int] = set()
             for t in terminals:
                 support.update(_ant_walk(draws, inst.source, t, hops))
-            decoder.offer(decoder.rooted(sum(1 << i for i in support)))
+            decoder.offer(decoder.rooted(sum(map(bits.__getitem__, support))))
         pheromone = [x * (1.0 - p.evaporation) for x in pheromone]
         deposit = 1.0 / max(decoder.best[0], 1e-12)
         # a tree's edges are distinct, so each id gets one deposit

@@ -264,11 +264,15 @@ def validate_instance(inst: Instance) -> list[str]:
     return problems
 
 
-def require_feasible(inst: Instance) -> None:
-    """Raise InfeasibleInstanceError carrying :func:`validate_instance`'s report."""
-    report = validate_instance(inst)
-    if report:
-        raise InfeasibleInstanceError(report)
+def require_feasible(inst: Instance) -> set[int]:
+    """The nodes reachable from the source, from the one search a valid
+    instance needs; else InfeasibleInstanceError carrying
+    :func:`validate_instance`'s report."""
+    if not instance_problems(inst):
+        reachable = inst.graph.reachable_from(inst.source)
+        if reachable.issuperset(inst.terminals):
+            return reachable
+    raise InfeasibleInstanceError(validate_instance(inst))
 
 
 @dataclass(frozen=True)

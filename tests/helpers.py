@@ -89,7 +89,7 @@ def decode_node_subset(inst: Instance, selected: set[int]):
     if not required <= selected:
         raise ValueError("selected nodes must include the source and all terminals")
     decoder = _SubsetDecoder(inst)
-    free = decoder.free.tolist()
+    free = decoder.free
     if not selected <= required | set(free):
         return None
     decoder.cost(bytes(x in selected for x in free))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -441,3 +442,71 @@ def test_rooted_prim_matches_kruskal_and_bfs_reference(monkeypatch, rule):
             if cost < best[0]:
                 best = (cost, flows)
         assert decoder.best == best
+
+
+@pytest.mark.parametrize("rule", ["random", "round1", "stray"])
+def test_decoder_matches_reference_on_every_genome(rule):
+    # every genome of an instance with at most 12 free nodes, in order:
+    # the bitset decode costs what Kruskal plus a BFS gives (or the
+    # penalty) and ends on the reference's first least-cost incumbent
+    spec = dict(node_count=14, avg_degree=4, terminal_count=3, seed=4)
+    if rule == "stray":
+        inst = stray_component_instance()
+    elif rule == "random":
+        inst = generate_instance(GenConfig(**spec))
+    else:
+        inst = tie_golden_instance({**spec, "regular_degree": None, "weights": rule})
+    decoder = _SubsetDecoder(inst)
+    assert 1 <= len(decoder.free) <= 12
+    best = (decoder.penalty, None)
+    for genome in map(bytes, itertools.product((0, 1), repeat=len(decoder.free))):
+        flows = reference_genome_flows(inst, genome)
+        cost = decoder.penalty if flows is None else flow_cost(inst.graph, flows)
+        assert decoder.cost(genome) == cost, (rule, genome)
+        if cost < best[0]:
+            best = (cost, flows)
+    assert decoder.best == best and best[1] is not None
+
+
+@pytest.mark.parametrize("solver", ["mst", "ga", "aco", "bco"])
+def test_tree_baselines_search_reachability_once(monkeypatch, solver):
+    # require_feasible's search also gives the decoder its free nodes
+    starts = []
+    search = Graph.reachable_from
+    monkeypatch.setattr(Graph, "reachable_from", lambda g, start: starts.append(start) or search(g, start))
+    inst = generate_instance(GenConfig(node_count=30, avg_degree=4, terminal_count=4, seed=2))
+    BASELINES[solver](inst, MetaheuristicParams(population=6, iterations=2, ant_count=2))
+    assert starts == [inst.source]
+
+
+def _twin_streams(seed: int, prefix: int) -> list[np.random.Generator]:
+    """Two PCG64 generators on one seed after a ``prefix``-long bounded
+    draw; an odd prefix leaves a buffered 32-bit half (``has_uint32``)."""
+    twins = [np.random.Generator(np.random.PCG64(seed)) for _ in range(2)]
+    for rng in twins:
+        rng.integers(0, 3, size=prefix)
+    return twins
+
+
+@pytest.mark.parametrize("seed", [0, 5, 300000])
+def test_merged_draws_equal_split_draws(seed):
+    # GA draws both tournaments in one integers call, BCO every employed
+    # flip bit in one, and GA the crossover test with its first mask in
+    # one random call; the seeded goldens hold only while these hold
+    for prefix in (0, 1):
+        assert _twin_streams(seed, prefix)[0].bit_generator.state["has_uint32"] == prefix
+        for n in (1, 2, 3, 50, 91, 2**32):
+            for k in range(1, 6):
+                one, two = _twin_streams(seed, prefix)
+                halves = two.integers(0, n, size=k).tolist() + two.integers(0, n, size=k).tolist()
+                assert one.integers(0, n, size=2 * k).tolist() == halves, (prefix, n, k)
+                assert one.bit_generator.state == two.bit_generator.state
+                one, two = _twin_streams(seed, prefix)
+                scalars = [int(two.integers(0, n)) for _ in range(k)]
+                assert one.integers(0, n, size=k).tolist() == scalars, (prefix, n, k)
+                assert one.bit_generator.state == two.bit_generator.state
+        for length in (0, 1, 2, 91):
+            one, two = _twin_streams(seed, prefix)
+            split = [two.random(), *two.random(length).tolist()]
+            assert one.random(1 + length).tolist() == split, (prefix, length)
+            assert one.bit_generator.state == two.bit_generator.state

@@ -10,7 +10,7 @@ from ostflow import (
     make_solution,
     validate_instance,
 )
-from ostflow.model import sum_left
+from ostflow.model import InfeasibleInstanceError, require_feasible, sum_left
 
 
 def test_graph_normalizes_and_sorts_edges():
@@ -172,9 +172,11 @@ def test_validate_instance_reports_every_non_integer_id():
 
 def test_validate_instance_path_graph_ok():
     inst = Instance(
-        graph=Graph(3, ((0, 1, 0.2), (1, 2, 0.3))), source=0, terminals={2: 1.0}
+        graph=Graph(4, ((0, 1, 0.2), (1, 2, 0.3))), source=0, terminals={2: 1.0}
     )
     assert validate_instance(inst) == []
+    # require_feasible hands back the component its one search found
+    assert require_feasible(inst) == {0, 1, 2}
 
 
 def test_validate_instance_reports_unreachable_terminal():
@@ -182,6 +184,9 @@ def test_validate_instance_reports_unreachable_terminal():
         graph=Graph(4, ((0, 1, 0.2), (2, 3, 0.3))), source=0, terminals={2: 1.0}
     )
     assert validate_instance(inst) == ["terminal 2 unreachable from source"]
+    with pytest.raises(InfeasibleInstanceError) as exc:
+        require_feasible(inst)
+    assert exc.value.report == ["terminal 2 unreachable from source"]
 
 
 def test_validate_instance_w1_empty(w1):
