@@ -17,13 +17,15 @@ tree and offers that tree to the same incumbent.
 
 Every such tree comes from one routine, ``_SubsetDecoder.rooted``: Prim
 from the source over edge-rank bitsets, which returns the parent array
-the demand walk-up reads; a genome's edges are such a bitset too, so a
-decode makes no numpy call. SPT's shortest-path tree feeds the same
-walk-up. Consecutive draws merge into one call (GA's two tournaments of
-a child, its crossover test with the first mask, BCO's employed flip
-bits) on the same stream: numpy's bounded draws below 2**32 take 32-bit
-halves from the bit generator's ``has_uint32`` buffer, so one draw of
-size 2k equals two of size k, and ``random(n)`` yields n scalar draws.
+the demand walk-up (``model.tree_flows``) reads; a genome's edges are
+such a bitset too, so a decode makes no numpy call. SPT's shortest-path
+tree feeds the same walk-up. Consecutive draws merge into one call (GA's
+two tournaments of a child, its crossover test with the first mask,
+BCO's employed flip bits) on the same stream: numpy's bounded draws
+below 2**32 take 32-bit halves from the bit generator's ``has_uint32``
+buffer, so one draw of size 2k equals two of size k, and ``random(n)``
+yields n scalar draws; ACO's walks read theirs one at a time from one
+iterator over ``random(4096)`` blocks.
 """
 
 from __future__ import annotations
@@ -31,13 +33,14 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress
 
 import numpy as np
 
 from .model import (FlowSolution, Instance, cost_ceiling, flow_cost, make_solution, require_feasible,
-                    require_fields, sum_left)
+                    require_fields, sum_left, tree_flows)
 
 
 @dataclass(frozen=True)
@@ -79,26 +82,6 @@ class MetaheuristicParams:
             raise ValueError("abandonment_limit must be positive")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must be a 64-bit unsigned integer")
-
-
-def _tree_flows(
-    parent: list[int], source: int, terminals: dict[int, float]
-) -> dict[tuple[int, int], float]:
-    """Demand-law flows on a source-rooted tree given by ``parent``: each
-    terminal's path up to the source carries the largest demand below it.
-    Edges with no terminal below carry nothing and are left out, which is
-    what pruning non-required leaves removes."""
-    flows: dict[tuple[int, int], float] = {}
-    for t, demand in terminals.items():
-        # every edge above one that already carries >= demand does too
-        x = t
-        while x != source:
-            key = (parent[x], x)
-            if flows.get(key, 0.0) >= demand:
-                break
-            flows[key] = demand
-            x = key[0]
-    return flows
 
 
 def solve_mst_prune(inst: Instance) -> FlowSolution:
@@ -143,7 +126,7 @@ def solve_sp_union(inst: Instance) -> FlowSolution:
     """Shortest-path baseline: union the per-terminal shortest paths, each
     edge carrying the maximum demand among the terminals routed over it."""
     require_feasible(inst)
-    flows = _tree_flows(_lexmin_shortest_path_tree(inst), inst.source, inst.terminals)
+    flows = tree_flows(_lexmin_shortest_path_tree(inst), inst.source, inst.terminals)
     return make_solution(inst, flows, "spt")
 
 
@@ -242,7 +225,7 @@ class _SubsetDecoder:
         """The cost of the demand-law flows on a source-rooted tree given by
         ``parent``; the tree becomes the incumbent when that cost is
         strictly below the incumbent's."""
-        flows = _tree_flows(parent, self.inst.source, self.inst.terminals)
+        flows = tree_flows(parent, self.inst.source, self.inst.terminals)
         cost = flow_cost(self.inst.graph, flows)
         if cost < self.best[0]:
             self.best = (cost, flows)
@@ -299,8 +282,11 @@ def solve_bco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
     next employed pass), and the result is the decoder's incumbent."""
     p = p or MetaheuristicParams()
     decoder = _SubsetDecoder(inst)
-    rng = np.random.Generator(np.random.PCG64(p.seed))
     length = len(decoder.free)
+    if not length:  # every site is b"", so the incumbent is its one decode
+        decoder.cost(b"")
+        return make_solution(inst, decoder.best[1], "bco")
+    rng = np.random.Generator(np.random.PCG64(p.seed))
     sites = decoder.first_genomes(rng, p.population)
     costs: list[float | None] = [None] * p.population
     stale = [0] * p.population
@@ -308,8 +294,7 @@ def solve_bco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
     def improve(i: int, bit: int) -> bool:
         """Move site i to its flip at ``bit`` if that costs less."""
         trial = sites[i]
-        if length:
-            trial = trial[:bit] + bytes((trial[bit] ^ 1,)) + trial[bit + 1 :]
+        trial = trial[:bit] + bytes((trial[bit] ^ 1,)) + trial[bit + 1 :]
         t_cost = decoder.cost(trial)
         if t_cost < costs[i]:
             sites[i], costs[i], stale[i] = trial, t_cost, 0
@@ -319,8 +304,7 @@ def solve_bco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
 
     max_scouts = max(1, math.ceil(p.scout_fraction * p.population))
     for _ in range(p.iterations):
-        bits = rng.integers(0, length, size=p.population).tolist() if length else [0] * p.population
-        for i, bit in enumerate(bits):
+        for i, bit in enumerate(rng.integers(0, length, size=p.population).tolist()):
             if costs[i] is None:
                 costs[i] = decoder.cost(sites[i])
             improve(i, bit)
@@ -329,7 +313,7 @@ def solve_bco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
         running = list(accumulate(1.0 / (1.0 + c) for c in costs))
         for _ in range(p.population):
             j = min(bisect_left(running, rng.random() * running[-1]), p.population - 1)
-            if improve(j, int(rng.integers(0, length)) if length else 0):
+            if improve(j, int(rng.integers(0, length))):
                 running = list(accumulate(1.0 / (1.0 + c) for c in costs))
         stuck = sorted(
             (i for i in range(p.population) if stale[i] > p.abandonment_limit),
@@ -342,26 +326,8 @@ def solve_bco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
     return make_solution(inst, decoder.best[1], "bco")
 
 
-class _Draws:
-    """rng.random() values one at a time: ``block[pos]`` is the next one.
-    A block of 4096 is drawn from the generator when the last runs out,
-    so the stream is the same as that of scalar calls."""
-
-    __slots__ = ("rng", "block", "pos")
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self.block: list[float] = []
-        self.pos = 0
-
-    def refill(self) -> list[float]:
-        self.block = self.rng.random(4096).tolist()
-        self.pos = 0
-        return self.block
-
-
 def _ant_walk(
-    draws: _Draws,
+    draw: Callable[[], float],
     source: int,
     target: int,
     hops: list[list[tuple[int, int, float]]],
@@ -369,9 +335,10 @@ def _ant_walk(
     """Randomized depth-first walk from the source to the target. ``hops[u]``
     lists (neighbour, edge id, pheromone^alpha * desirability) by
     neighbour; the next hop is drawn among the unvisited ones in
-    proportion to the weight. Every forward step uses one draw, even with
-    a single option. Complete: dead ends backtrack, without a draw, so any
-    reachable target is found. Returns the ids of the path's edges.
+    proportion to the weight. Every forward step calls ``draw`` once for a
+    uniform value in [0, 1), even with a single option. Complete: dead
+    ends backtrack, without a draw, so any reachable target is found.
+    Returns the ids of the path's edges.
 
     A step builds no option list: one pass over ``hops[u]`` adds the
     unvisited weights left to right and keeps the last unvisited hop, and
@@ -381,7 +348,6 @@ def _ant_walk(
     via: list[int] = []
     visited = [False] * len(hops)
     visited[source] = True
-    block, pos = draws.block, draws.pos
     u = source
     while u != target:
         total = 0.0
@@ -397,12 +363,7 @@ def _ant_walk(
             via.pop()
             u = path[-1]
             continue
-        try:
-            r = block[pos]
-        except IndexError:
-            block, pos = draws.refill(), 0
-            r = block[0]
-        pos += 1
+        r = draw()
         hop = last
         if several:
             r *= total
@@ -417,7 +378,6 @@ def _ant_walk(
         visited[u] = True
         path.append(u)
         via.append(hop[1])
-    draws.pos = pos
     return via
 
 
@@ -452,7 +412,9 @@ def solve_aco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
     and offered to the decoder's incumbent. The incumbent deposits pheromone each iteration
     after evaporation."""
     p = p or MetaheuristicParams()
-    draws = _Draws(np.random.Generator(np.random.PCG64(p.seed)))
+    rng = np.random.Generator(np.random.PCG64(p.seed))
+    # rng.random() values one at a time from blocks: the scalar calls' stream
+    draw = chain.from_iterable(iter(lambda: rng.random(4096).tolist(), None)).__next__
     decoder = _SubsetDecoder(inst)
     # edge ids are the decoder's edge ranks
     ordered, ends = decoder.edges, decoder.ends
@@ -480,7 +442,7 @@ def solve_aco(inst: Instance, p: MetaheuristicParams | None = None) -> FlowSolut
         for _ in range(p.ant_count):
             support: set[int] = set()
             for t in terminals:
-                support.update(_ant_walk(draws, inst.source, t, hops))
+                support.update(_ant_walk(draw, inst.source, t, hops))
             decoder.offer(decoder.rooted(sum(map(bits.__getitem__, support))))
         pheromone = [x * (1.0 - p.evaporation) for x in pheromone]
         deposit = 1.0 / max(decoder.best[0], 1e-12)

@@ -262,8 +262,8 @@ def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; its errors become exit statuses here.
 
     An infeasible instance exits 2 with one line per report entry; any
-    other ValueError (InstanceError among them) or a failed read or write
-    exits 1 with its message.
+    other ValueError (InstanceError among them), a failed read or write or
+    a failed allocation exits 1 with its message.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -272,8 +272,8 @@ def main(argv: list[str] | None = None) -> int:
         for line in exc.report:
             print(f"ostflow: infeasible instance: {line}", file=sys.stderr)
         return EXIT_INFEASIBLE_INSTANCE
-    except (ValueError, OSError) as exc:
-        print(f"ostflow: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"ostflow: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -27,7 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .model import Graph, Instance, InstanceError, as_float, require_fields, sum_left
+from .model import Graph, Instance, InstanceError, as_float, as_int, require_fields, sum_left
 
 # pairings of each kind generate_regular_instance tries before it gives up
 _REGULAR_ATTEMPTS = 2000
@@ -226,7 +226,9 @@ def generate_regular_instance(cfg: GenConfig, degree: int) -> Instance:
     pairing (``_sequential_pairing``), retried likewise. ``cfg.avg_degree``
     is ignored.
     """
-    n = cfg.node_count
+    if as_int(degree) is None:
+        raise InstanceError(f"regular degree must be an integer, got {degree!r}")
+    n, degree = cfg.node_count, as_int(degree)
     if degree < 1 or degree >= n:
         raise InstanceError(f"regular degree {degree} outside [1, {n - 1}]")
     if n * degree % 2 != 0:

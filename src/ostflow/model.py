@@ -3,7 +3,8 @@
 A problem instance is an undirected weighted graph, a single source node,
 and a set of terminal nodes each with a positive rate demand. A solution
 assigns positive flows to directed edges so that every terminal receives
-at least its demanded rate from the source.
+at least its demanded rate from the source; on a source-rooted tree the
+least such flows are :func:`tree_flows`. The module imports no numpy.
 """
 
 from __future__ import annotations
@@ -318,6 +319,25 @@ def flow_cost(graph: Graph, flows: dict[tuple[int, int], float]) -> float:
             raise ValueError(f"flow on edge ({u}, {v}) absent from graph")
         cost += w * f
     return cost
+
+
+def tree_flows(parent, source: int, terminals: dict[int, float]) -> dict[tuple[int, int], float]:
+    """Demand-law flows on a source-rooted tree: each terminal's path up to
+    the source carries the largest demand below it. ``parent`` maps each
+    node on those paths to its parent (a list by node id, or a dict). Edges
+    with no terminal below carry nothing and are left out, which is what
+    pruning non-required leaves removes."""
+    flows: dict[tuple[int, int], float] = {}
+    for t, demand in terminals.items():
+        # every edge above one that already carries >= demand does too
+        x = t
+        while x != source:
+            key = (parent[x], x)
+            if flows.get(key, 0.0) >= demand:
+                break
+            flows[key] = demand
+            x = key[0]
+    return flows
 
 
 def make_solution(

@@ -11,9 +11,10 @@ rather than computed:
 * ``check_tree``: structural shape of minimal solutions (flow support is
   a tree rooted at the source, oriented away from it, every leaf required).
 * ``check_flow_law``: on a tree, each edge must carry exactly the largest
-  demand among the terminals below it. It runs the ``check_tree`` checks
-  first and reports their violations instead where the shape is wrong. A
-  test oracle for minimal solver outputs, not a feasibility requirement.
+  demand among the terminals below it (``model.tree_flows`` on the
+  support's parent map). It runs the ``check_tree`` checks first and
+  reports their violations instead where the shape is wrong. A test
+  oracle for minimal solver outputs, not a feasibility requirement.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .model import FlowSolution, Instance, flow_cost
+from .model import FlowSolution, Instance, flow_cost, tree_flows
 
 TOL = 1e-9
 
@@ -123,16 +124,16 @@ def check_constraints(inst: Instance, sol: FlowSolution) -> list[Violation]:
 
 
 def _not_tree(location: str, detail: str):
-    return None, None, [Violation(Code.NOT_TREE, location, detail)]
+    return None, [Violation(Code.NOT_TREE, location, detail)]
 
 
 def _rooted_support(inst: Instance, sol: FlowSolution):
     """The flow support rooted at the source, and its shape violations.
 
-    Returns (parent, order, violations): ``parent`` (-1 at the source) and
-    the BFS ``order`` of a search rooted at the source, with the
-    orientation and leaf violations; or (None, None, [NOT_TREE violation])
-    when the support is not a tree containing source and terminals.
+    Returns (parent, violations): ``parent`` maps each support node to its
+    parent (-1 at the source) by a search rooted at the source, with the
+    orientation and leaf violations; or (None, [NOT_TREE violation]) when
+    the support is not a tree containing source and terminals.
     """
     nodes = set()
     undirected = set()
@@ -174,12 +175,12 @@ def _rooted_support(inst: Instance, sol: FlowSolution):
         for node in sorted(parent)
         if node not in inner and node != inst.source and node not in inst.terminals
     ]
-    return parent, order, violations
+    return parent, violations
 
 
 def check_tree(inst: Instance, sol: FlowSolution) -> list[Violation]:
     """Rooted-tree shape of minimal solutions (support, orientation, leaves)."""
-    return _rooted_support(inst, sol)[2]
+    return _rooted_support(inst, sol)[1]
 
 
 def check_flow_law(inst: Instance, sol: FlowSolution) -> list[Violation]:
@@ -188,14 +189,12 @@ def check_flow_law(inst: Instance, sol: FlowSolution) -> list[Violation]:
     Runs the ``check_tree`` checks first: where the shape is wrong the law
     has no meaning, so their violations are returned instead.
     """
-    parent, order, violations = _rooted_support(inst, sol)
+    parent, violations = _rooted_support(inst, sol)
     if violations:
         return violations
-    # Max demand per subtree, children before parents (reverse BFS order).
-    submax = {node: inst.terminals.get(node, 0.0) for node in order}
-    for node in reversed(order[1:]):
-        submax[parent[node]] = max(submax[parent[node]], submax[node])
+    # every leaf is a terminal, so every flow edge has a terminal below it
+    law = tree_flows(parent, inst.source, inst.terminals)
     return [
-        Violation(Code.FLOW_LAW, f"({u},{v})", f"flow {f} but max demand below is {submax[v]}")
-        for (u, v), f in sorted(sol.flows.items()) if abs(f - submax[v]) > TOL
+        Violation(Code.FLOW_LAW, f"({u},{v})", f"flow {f} but max demand below is {law[u, v]}")
+        for (u, v), f in sorted(sol.flows.items()) if abs(f - law[u, v]) > TOL
     ]

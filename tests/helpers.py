@@ -146,8 +146,8 @@ BASELINES = {
 
 def reference_uniform_draws(rng: np.random.Generator):
     """rng.random() values one at a time, drawn from the generator in
-    blocks; the stream is the same as that of scalar calls. The ant
-    walk's draw stream before it read blocks by index."""
+    blocks; the stream is the same as that of scalar calls, and as the
+    one ``solve_aco`` hands its walks as ``draw``."""
     while True:
         yield from rng.random(4096).tolist()
 

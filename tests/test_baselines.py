@@ -21,7 +21,7 @@ from ostflow import (
     solve_ost,
     solve_sp_union,
 )
-from ostflow.baselines import _ant_walk, _Draws, _SubsetDecoder
+from ostflow.baselines import _ant_walk, _SubsetDecoder
 from ostflow.model import flow_cost, sum_left
 
 from helpers import (
@@ -349,23 +349,17 @@ def _random_hops(rng, n: int, rule: str, alpha: float):
     return hops
 
 
-class _CountingDraws(_Draws):
-    blocks = 0
-
-    def refill(self):
-        self.blocks += 1
-        return super().refill()
-
-    def used(self) -> int:
-        return self.blocks * 4096 - len(self.block) + self.pos
-
-
 def test_ant_walk_matches_reference():
     # same edges and same draws as the set-and-sum walk, walk after walk on
-    # one stream, so block boundaries fall inside walks too
+    # one stream of more than two 4096-blocks, so block edges fall inside walks
     rng = np.random.default_rng(2024)
-    draws = _CountingDraws(np.random.Generator(np.random.PCG64(7)))
-    reference_used = 0
+    stream = reference_uniform_draws(np.random.Generator(np.random.PCG64(7)))
+    used = reference_used = 0
+
+    def draw():
+        nonlocal used
+        used += 1
+        return next(stream)
 
     def counted(stream):
         nonlocal reference_used
@@ -380,10 +374,10 @@ def test_ant_walk_matches_reference():
         hops = _random_hops(rng, n, ("random", "equal", "zero")[table % 3], (1.0, 2.0)[table % 2])
         for target in rng.choice(np.arange(1, n), size=3).tolist():
             expected = reference_ant_walk(reference, 0, target, hops)
-            assert _ant_walk(draws, 0, target, hops) == expected, (table, target)
-            assert draws.used() == reference_used, (table, target)
+            assert _ant_walk(draw, 0, target, hops) == expected, (table, target)
+            assert used == reference_used, (table, target)
             walks += 1
-    assert walks >= 500 and draws.blocks >= 2
+    assert walks >= 500 and used > 2 * 4096
 
 
 def _tree_instance(rule: str, seed: int):

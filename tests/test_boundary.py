@@ -16,6 +16,7 @@ from ostflow import (
     OracleLimits,
     SweepConfig,
     SweepKind,
+    generate_regular_instance,
 )
 from ostflow.model import as_float, as_int, cost_ceiling
 
@@ -81,6 +82,9 @@ SWEEP = dict(sweep_kind=SweepKind.NODE_COUNT, values=(10,), trials=1)
          "demand value nan must be finite"),
         (lambda: GenConfig(**GEN, demand_set=((math.inf, 1.0),)), InstanceError,
          "demand value inf must be finite"),
+        # regular degree: the one integer rule (a float, even 3.0, is none)
+        *[(lambda d=d: generate_regular_instance(GenConfig(**GEN), d), InstanceError,
+           f"regular degree must be an integer, got {d!r}") for d in (2.5, 3.0, "3", None, True)],
         # MetaheuristicParams counts, seed and rates
         (lambda: MetaheuristicParams(population=2.5), ValueError,
          "population must be an integer, got 2.5"),

@@ -572,6 +572,26 @@ def test_gen_overfull_degree_names_the_complete_graph_limit(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "error,line",
+    [
+        (MemoryError("Unable to allocate 74.5 GiB for an array"),
+         "ostflow: Unable to allocate 74.5 GiB for an array\n"),
+        (MemoryError(), "ostflow: MemoryError\n"),
+    ],
+)
+def test_gen_out_of_memory_exits_1(capsys, monkeypatch, error, line):
+    # a failed allocation, as numpy raises for a huge --nodes, is one line
+    import ostflow.generator
+
+    def exhausted(cfg):
+        raise error
+
+    monkeypatch.setattr(ostflow.generator, "generate_instance", exhausted)
+    code, out, err = run(capsys, "gen", "--nodes", 10**10, "--avg-degree", 2, "--terminals", 1)
+    assert (code, out, err) == (1, "", line)
+
+
 def test_bench_invalid_sweep_exits_1(capsys, tmp_path):
     code, _, _ = run(
         capsys, "bench", "--sweep", "user-count", "--values", "2,1",

@@ -163,12 +163,15 @@ def test_flow_law_w1_optimum_clean(w1):
     assert check_flow_law(w1, _sol(W1_OPT_FLOWS)) == []
 
 
-def test_flow_law_flags_excess_flow(w1):
-    flows = dict(W1_OPT_FLOWS)
-    flows[(3, 1)] = 1.0
+@pytest.mark.parametrize("relay", [1, 9])  # 9 is no node of the graph
+def test_flow_law_flags_excess_flow(w1, relay):
+    # the law reads the support's own parent map, so a relay id outside
+    # the graph is judged like any other
+    flows = {(0, 3): 1.0, (3, relay): 1.0, (relay, 2): 0.25}
     report = check_flow_law(w1, _sol(flows))
     assert codes(report) == {Code.FLOW_LAW}
-    assert any("(3,1)" in v.location for v in report)
+    assert [v.location for v in report] == [f"(3,{relay})"]
+    assert report[0].detail == "flow 1.0 but max demand below is 0.25"
 
 
 def test_flow_law_reports_the_tree_violations_first(w1):
