@@ -72,9 +72,10 @@ class Graph:
     Node ids are integers (:func:`as_int`), stored as one shared int per
     node. Edge weights are real numbers (:func:`as_float`) stored as floats:
     finite, nonnegative unit transmission costs. Edges are stored normalized
-    (u < v) and sorted; ``adjacency``, ``total_weight`` (the weights added
-    in that order; inf where they overflow) and the weight lookup are
-    derived at construction. Instances are treated as immutable.
+    (u < v) and sorted; ``adjacency`` and ``total_weight`` (the weights added
+    in that order; inf where they overflow) are derived at construction, the
+    weight lookup at first use (``flow_cost``, ``has_edge``): the solver's
+    page-fault test reads where it lands. Instances are treated as immutable.
     """
 
     node_count: int
@@ -143,10 +144,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self._weights
-
-    def weight(self, u: int, v: int) -> float:
-        """Weight of the undirected edge {u, v}; KeyError if absent."""
-        return self._weights[(min(u, v), max(u, v))]
 
     @functools.cached_property
     def _weights(self) -> dict[tuple[int, int], float]:

@@ -47,6 +47,7 @@ so ``solve_ost`` lets it pass without a numpy warning.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -155,30 +156,64 @@ def state_kind(cost, arg, subset):
     return (arg > 0) * EXTEND + (arg <= 0) * (cost < math.inf) * (MERGE - one_bit)
 
 
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the OS does not say."""
+@functools.cache
+def _memory_limit(self_cgroup="/proc/self/cgroup", cgroup_root="/sys/fs/cgroup"):
+    """The tightest memory limit of this process, as (bytes, what sets it):
+    physical memory, the own cgroup's limit (v2 ``memory.max`` or v1
+    ``memory.limit_in_bytes``, found through ``self_cgroup``), the soft
+    RLIMIT_AS and RLIMIT_DATA. Unlimited values and limits that cannot be
+    read are skipped; None where none is left. Read once per process: the
+    cgroup files take tens of microseconds."""
+    limits = []
     try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        limits.append((os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), "physical memory"))
     except (AttributeError, ValueError, OSError):
-        return None
+        pass
+    try:
+        with open(self_cgroup) as f:
+            entries = [line.split(":", 2) for line in f.read().splitlines()]
+    except OSError:
+        entries = []
+    for _, controllers, own in entries:
+        if controllers and "memory" not in controllers.split(","):
+            continue
+        name = "memory.limit_in_bytes" if controllers else "memory.max"
+        path = os.path.join(cgroup_root, "memory" if controllers else "", own.strip("/"), name)
+        try:
+            with open(path) as f:
+                value = f.read().strip()
+        except OSError:
+            continue
+        if value.isdigit():  # not "max"
+            limits.append((int(value), f"the cgroup limit {path}"))
+    try:
+        import resource
+        for name in ("RLIMIT_AS", "RLIMIT_DATA"):
+            soft = resource.getrlimit(getattr(resource, name))[0]
+            if soft != resource.RLIM_INFINITY:
+                limits.append((soft, f"the soft {name}"))
+    except ImportError:
+        pass
+    return min(limits, key=lambda limit: limit[0], default=None)
 
 
 def dp_init(inst: Instance) -> DpTable:
     """Table with boundary states only: each terminal costs 0 to itself.
 
     Raises InstanceError, before allocating anything, when the table
-    would not fit in the machine's physical memory.
+    would not fit in the tightest memory limit of the process
+    (``_memory_limit``).
     """
     terms = sorted(inst.terminals)
     k = len(terms)
     m = inst.graph.node_count
     need = m * (1 << k) * STATE_BYTES
-    have = _physical_memory()
-    if have is not None and need > have:
+    limit = _memory_limit()
+    if limit is not None and need > limit[0]:
         raise InstanceError(
             f"state space too large: {m} nodes x 2^{k} terminal subsets need a "
             f"{need / 2**30:.1f} GiB table ({need} bytes), more than the "
-            f"{have / 2**30:.1f} GiB of physical memory"
+            f"{limit[0] / 2**30:.1f} GiB of {limit[1]}"
         )
     terminal_index = {t: i for i, t in enumerate(terms)}
     demands = [inst.terminals[t] for t in terms]

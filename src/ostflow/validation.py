@@ -82,11 +82,7 @@ def check_constraints(inst: Instance, sol: FlowSolution) -> list[Violation]:
         if f <= 0:
             violations.append(Violation(Code.NEG_FLOW, loc, f"flow {f} is not positive"))
             continue
-        if not (
-            0 <= u < inst.graph.node_count
-            and 0 <= v < inst.graph.node_count
-            and inst.graph.has_edge(u, v)
-        ):
+        if not inst.graph.has_edge(u, v):
             violations.append(Violation(Code.NONEDGE_FLOW, loc, "edge absent from graph"))
             continue
         max_out[u] = max(max_out[u], f)

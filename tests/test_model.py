@@ -10,14 +10,14 @@ from ostflow import (
     make_solution,
     validate_instance,
 )
-from ostflow.model import InfeasibleInstanceError, require_feasible, sum_left
+from ostflow.model import InfeasibleInstanceError, flow_cost, require_feasible, sum_left
 
 
 def test_graph_normalizes_and_sorts_edges():
     g = Graph(4, ((3, 0, 0.3), (2, 1, 0.1), (1, 0, 1.0)))
     assert g.edges == ((0, 1, 1.0), (0, 3, 0.3), (1, 2, 0.1))
     assert g.edge_count == 3
-    assert g.weight(3, 0) == 0.3
+    assert flow_cost(g, {(3, 0): 1.0}) == 0.3
     assert g.has_edge(0, 1) and not g.has_edge(0, 2)
 
 

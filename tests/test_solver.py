@@ -258,13 +258,55 @@ def test_solve_ost_runs_no_reachability_search(monkeypatch):
 
 
 def test_table_memory_bound_is_inclusive(w1, monkeypatch):
-    # w1: 4 nodes x 2^2 subsets x STATE_BYTES (12 bytes: 192)
+    # w1: 4 nodes x 2^2 subsets x STATE_BYTES (12 bytes: 192); the
+    # refusal names the limit that bound it
     need = 4 * 2**2 * STATE_BYTES
-    monkeypatch.setattr(ostflow.solver, "_physical_memory", lambda: need - 1)
-    with pytest.raises(InstanceError, match=rf"\({need} bytes\), more than the"):
+    monkeypatch.setattr(ostflow.solver, "_memory_limit", lambda: (need - 1, "the soft RLIMIT_AS"))
+    refusal = rf"\({need} bytes\), more than the 0\.0 GiB of the soft RLIMIT_AS$"
+    with pytest.raises(InstanceError, match=refusal):
         solve_ost(w1)
-    monkeypatch.setattr(ostflow.solver, "_physical_memory", lambda: need)
+    monkeypatch.setattr(ostflow.solver, "_memory_limit", lambda: (need, "the soft RLIMIT_AS"))
     assert close(solve_ost(w1).cost, W1_OPT_COST)
+    monkeypatch.setattr(ostflow.solver, "_memory_limit", lambda: None)
+    assert close(solve_ost(w1).cost, W1_OPT_COST)
+
+
+def _fake_limits(monkeypatch, physical, rlimit_as=None, rlimit_data=None):
+    # None stands for an unlimited soft limit
+    resource = pytest.importorskip("resource")
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": physical // 4096}
+    monkeypatch.setattr(ostflow.solver.os, "sysconf", pages.__getitem__)
+    soft = {resource.RLIMIT_AS: rlimit_as, resource.RLIMIT_DATA: rlimit_data}
+    unlimited = resource.RLIM_INFINITY
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (
+        unlimited if soft[which] is None else soft[which], unlimited))
+
+
+@pytest.mark.parametrize("v2", [True, False])
+def test_memory_limit_reads_the_own_cgroup(tmp_path, monkeypatch, v2):
+    _fake_limits(monkeypatch, 2**34)
+    own = "/app/job" if v2 else "/job"
+    self_cgroup = tmp_path / "cgroup"
+    self_cgroup.write_text(f"0::{own}\n" if v2 else f"5:cpu:/other\n4:memory:{own}\n0::/\n")
+    folder = tmp_path / "fs" / ("" if v2 else "memory") / own.lstrip("/")
+    folder.mkdir(parents=True)
+    file = folder / ("memory.max" if v2 else "memory.limit_in_bytes")
+    read = ostflow.solver._memory_limit.__wrapped__
+    file.write_text(f"{2**30}\n")
+    assert read(str(self_cgroup), str(tmp_path / "fs")) == (2**30, f"the cgroup limit {file}")
+    file.write_text("max\n")
+    assert read(str(self_cgroup), str(tmp_path / "fs")) == (2**34, "physical memory")
+    file.unlink()
+    assert read(str(self_cgroup), str(tmp_path / "fs")) == (2**34, "physical memory")
+    assert read(str(tmp_path / "absent"), str(tmp_path / "fs")) == (2**34, "physical memory")
+
+
+def test_memory_limit_takes_the_tightest_soft_rlimit(tmp_path, monkeypatch):
+    read = ostflow.solver._memory_limit.__wrapped__
+    _fake_limits(monkeypatch, 2**34, rlimit_as=2**33, rlimit_data=2**32)
+    assert read(str(tmp_path / "absent"), str(tmp_path)) == (2**32, "the soft RLIMIT_DATA")
+    _fake_limits(monkeypatch, 2**34, rlimit_as=2**33)
+    assert read(str(tmp_path / "absent"), str(tmp_path)) == (2**33, "the soft RLIMIT_AS")
 
 
 def test_reconstruct_boundary_state(w1):

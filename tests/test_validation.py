@@ -92,9 +92,14 @@ def test_constraints_flag_nonpositive_flow(w1):
     assert sum(1 for v in report if v.code is Code.NEG_FLOW) == 2
 
 
-def test_constraints_flag_nonedge_flow(w1):
-    report = check_constraints(w1, _sol({(0, 2): 1.0, (0, 3): 1.0}))
-    assert Code.NONEDGE_FLOW in codes(report)
+@pytest.mark.parametrize("pair", [(0, 2), (-1, 0), (0, 4), (0, 10**20)])
+def test_constraints_flag_nonedge_flow(w1, pair):
+    # w1 has 4 nodes and no edge {0, 2}; an id outside [0, 4) is no edge
+    # either, and is reported before any per-node list is indexed by it
+    report = check_constraints(w1, _sol({**W1_OPT_FLOWS, pair: 1.0}))
+    assert [(v.code, v.location) for v in report] == [
+        (Code.NONEDGE_FLOW, f"({pair[0]},{pair[1]})")
+    ]
 
 
 def test_constraints_flag_relay_overdraw(w1):
