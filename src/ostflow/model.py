@@ -13,6 +13,8 @@ import functools
 import math
 import numbers
 import operator
+import types
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
 
@@ -75,7 +77,8 @@ class Graph:
     (u < v) and sorted; ``adjacency`` and ``total_weight`` (the weights added
     in that order; inf where they overflow) are derived at construction, the
     weight lookup at first use (``flow_cost``, ``has_edge``): the solver's
-    page-fault test reads where it lands. Instances are treated as immutable.
+    page-fault test reads where it lands. Every field is a tuple or a
+    number, so a graph cannot change after construction.
     """
 
     node_count: int
@@ -143,7 +146,9 @@ class Graph:
         return len(self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self._weights
+        """Whether integer ids (:func:`as_int`, so no float or bool) share an edge."""
+        u, v = as_int(u), as_int(v)
+        return u is not None and v is not None and (min(u, v), max(u, v)) in self._weights
 
     @functools.cached_property
     def _weights(self) -> dict[tuple[int, int], float]:
@@ -166,19 +171,55 @@ class Graph:
 class Instance:
     """A routing problem: graph, source node, and per-terminal demands.
 
-    ``terminals`` maps terminal node id to its finite, positive demand. The
-    source is never a terminal. Reachability of terminals is a semantic
-    check done by :func:`validate_instance`, not a construction invariant.
+    ``terminals`` maps terminal node id to its finite, positive demand, in a
+    read-only copy of the mapping given, so the invariants checked here hold
+    for the instance's life. The source is never a terminal. Reachability
+    of terminals is a semantic check done by :func:`validate_instance`, not
+    a construction invariant.
     """
 
     graph: Graph
     source: int
-    terminals: dict[int, float]
+    terminals: Mapping[int, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "terminals", dict(self.terminals))
-        for problem in instance_problems(self):
-            raise InstanceError(problem)
+        terminals = types.MappingProxyType(dict(self.terminals))
+        object.__setattr__(self, "terminals", terminals)
+        n, source = self.graph.node_count, self.source
+        if as_int(source) is None:
+            raise InstanceError(f"source {source!r} is not an integer")
+        if not 0 <= source < n:
+            raise InstanceError(f"source {source} outside [0, {n})")
+        if source in terminals:
+            raise InstanceError("source in terminal set")
+        if not terminals:
+            raise InstanceError("terminal set is empty")
+        if len(terminals) > n - 1:
+            raise InstanceError(f"{len(terminals)} terminals exceed node_count - 1 = {n - 1}")
+        for t in terminals:
+            if as_int(t) is None:
+                raise InstanceError(f"terminal {t!r} is not an integer")
+        for t in sorted(terminals):
+            demand = terminals[t]
+            number = as_float(demand)
+            if not 0 <= t < n:
+                raise InstanceError(f"terminal {t} outside [0, {n})")
+            if number is None:
+                raise InstanceError(f"terminal {t} has non-numeric demand {demand!r}")
+            if not math.isfinite(number):
+                raise InstanceError(f"terminal {t} has non-finite demand {number}")
+            if demand <= 0:
+                raise InstanceError(f"terminal {t} has nonpositive demand {demand}")
+        if cost_ceiling(self.graph, self.max_demand()) == math.inf:
+            u, v, w = max(self.graph.edges, key=lambda e: e[2])
+            raise InstanceError(
+                f"total edge weight {self.graph.total_weight} x largest demand {self.max_demand()}"
+                f" overflows a float cost bound; the heaviest edge is ({u}, {v}) with weight {w}"
+            )
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle; unpickling checks the copy again
+        return Instance, (self.graph, self.source, dict(self.terminals))
 
     @property
     def terminal_count(self) -> int:
@@ -192,84 +233,28 @@ def cost_ceiling(graph: Graph, demand: float) -> float:
     """A cost strictly above that of any flow of at most ``demand`` per
     edge: ``graph.total_weight * demand`` plus a margin no rounding can
     lose, 1.0 or 2^-30 of the product where that is larger (from 2^30
-    on). inf where it overflows, which :func:`instance_problems` refuses
-    at the largest demand."""
+    on). inf where it overflows, which :class:`Instance` refuses at the
+    largest demand."""
     base = graph.total_weight * demand
     return base + max(1.0, base * 2**-30)
 
 
-def instance_problems(inst: Instance) -> list[str]:
-    """Violations of the construction invariants, empty = none: source,
-    terminal ids and demands, and a cost bound that overflows a float
-    (:func:`cost_ceiling` at the largest demand), in O(K) with no graph
-    search. ``Instance`` raises on the first; the terminals dict stays
-    mutable, so a solver re-checks before it indexes a table by terminal
-    id."""
-    problems = []
-    n = inst.graph.node_count
-    source_ok = as_int(inst.source) is not None
-    if not source_ok:
-        problems.append(f"source {inst.source!r} is not an integer")
-    elif not (0 <= inst.source < n):
-        problems.append(f"source {inst.source} outside [0, {n})")
-    if source_ok and inst.source in inst.terminals:
-        problems.append("source in terminal set")
-    if not inst.terminals:
-        problems.append("terminal set is empty")
-    if len(inst.terminals) > n - 1:
-        problems.append(f"{len(inst.terminals)} terminals exceed node_count - 1 = {n - 1}")
-    ids = []
-    for t in inst.terminals:
-        if as_int(t) is not None:
-            ids.append(t)
-        else:
-            problems.append(f"terminal {t!r} is not an integer")
-    for t in sorted(ids):
-        demand = inst.terminals[t]
-        number = as_float(demand)
-        if not (0 <= t < n):
-            problems.append(f"terminal {t} outside [0, {n})")
-        if number is None:
-            problems.append(f"terminal {t} has non-numeric demand {demand!r}")
-        elif not math.isfinite(number):
-            problems.append(f"terminal {t} has non-finite demand {number}")
-        elif demand <= 0:
-            problems.append(f"terminal {t} has nonpositive demand {demand}")
-    if not problems and cost_ceiling(inst.graph, inst.max_demand()) == math.inf:
-        u, v, w = max(inst.graph.edges, key=lambda e: e[2])
-        problems.append(
-            f"total edge weight {inst.graph.total_weight} x largest demand {inst.max_demand()}"
-            f" overflows a float cost bound; the heaviest edge is ({u}, {v}) with weight {w}"
-        )
-    return problems
-
-
 def validate_instance(inst: Instance) -> list[str]:
-    """Check an instance for feasibility; returns violations, empty = valid.
-
-    Re-runs the structural invariants (:func:`instance_problems`)
-    defensively, then checks that every terminal is reachable from the
-    source (the only way a structurally well-formed instance can lack a
-    feasible solution).
-    """
-    problems = instance_problems(inst)
-    if problems:
-        return problems
+    """Feasibility report, empty = feasible: each terminal the source cannot
+    reach, in ascending id order, from one BFS. That is the one way left for
+    an instance, whose invariants hold from construction, to have no solution."""
     reachable = inst.graph.reachable_from(inst.source)
-    for t in sorted(inst.terminals):
-        if t not in reachable:
-            problems.append(f"terminal {t} unreachable from source")
-    return problems
+    return [f"terminal {t} unreachable from source" for t in sorted(inst.terminals)
+            if t not in reachable]
 
 
 def require_feasible(inst: Instance) -> set[int]:
     """The nodes reachable from the source, from the one search a valid
     instance needs; else InfeasibleInstanceError carrying
     :func:`validate_instance`'s report."""
-    if not instance_problems(inst):
-        reachable = inst.graph.reachable_from(inst.source)
-        if reachable.issuperset(inst.terminals):
-            return reachable
+    reachable = inst.graph.reachable_from(inst.source)
+    if reachable.issuperset(inst.terminals):
+        return reachable
     raise InfeasibleInstanceError(validate_instance(inst))
 
 

@@ -33,14 +33,14 @@ states on the optimum's path, as a best-first pass would record it (an
 edge met twice keeps the larger flow).
 
 Feasibility is decided in ``solve_ost`` from the table, with no search of
-its own: the instance's O(K) construction invariants are checked first,
-and the one-terminal layer is a shortest-path pass from each terminal, so
-once it is grown a terminal reaches the source exactly where its row is
-finite there. The full validator (``require_feasible``, a BFS) runs only
-where that reads inf, to report which terminals are unreachable.
+its own: ``Instance`` holds its invariants from construction on, and the
+one-terminal layer is a shortest-path pass from each terminal, so once it
+is grown a terminal reaches the source exactly where its row is finite
+there. The full validator (``require_feasible``, a BFS) runs only where
+that reads inf, to report which terminals are unreachable.
 
 Every reachable state costs at most ``model.cost_ceiling`` at the largest
-demand, which the construction invariants keep finite. A merge or grow
+demand, which ``Instance`` keeps finite. A merge or grow
 candidate above it may still overflow to inf; that never wins a minimum,
 so ``solve_ost`` lets it pass without a numpy warning.
 """
@@ -54,8 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (FlowSolution, InfeasibleInstanceError, Instance, InstanceError,
-                    instance_problems, make_solution, require_feasible)
+from .model import FlowSolution, Instance, InstanceError, make_solution, require_feasible
 
 # Kinds of state: how cost[S, v] was last improved (``state_kind``).
 UNSET, LEAF, MERGE, EXTEND = 0, 1, 2, 3
@@ -159,8 +158,9 @@ def state_kind(cost, arg, subset):
 @functools.cache
 def _memory_limit(self_cgroup="/proc/self/cgroup", cgroup_root="/sys/fs/cgroup"):
     """The tightest memory limit of this process, as (bytes, what sets it):
-    physical memory, the own cgroup's limit (v2 ``memory.max`` or v1
-    ``memory.limit_in_bytes``, found through ``self_cgroup``), the soft
+    physical memory, the limits of the own cgroup (found through
+    ``self_cgroup``) and of each ancestor up to the root, which bind too
+    (v2 ``memory.max`` or v1 ``memory.limit_in_bytes``), the soft
     RLIMIT_AS and RLIMIT_DATA. Unlimited values and limits that cannot be
     read are skipped; None where none is left. Read once per process: the
     cgroup files take tens of microseconds."""
@@ -178,14 +178,17 @@ def _memory_limit(self_cgroup="/proc/self/cgroup", cgroup_root="/sys/fs/cgroup")
         if controllers and "memory" not in controllers.split(","):
             continue
         name = "memory.limit_in_bytes" if controllers else "memory.max"
-        path = os.path.join(cgroup_root, "memory" if controllers else "", own.strip("/"), name)
-        try:
-            with open(path) as f:
-                value = f.read().strip()
-        except OSError:
-            continue
-        if value.isdigit():  # not "max"
-            limits.append((int(value), f"the cgroup limit {path}"))
+        base = os.path.join(cgroup_root, "memory" if controllers else "")
+        parts = [part for part in own.split("/") if part]
+        for depth in range(len(parts), -1, -1):
+            path = os.path.join(base, *parts[:depth], name)
+            try:
+                with open(path) as f:
+                    value = f.read().strip()
+            except OSError:
+                continue
+            if value.isdigit():  # not "max"
+                limits.append((int(value), f"the cgroup limit {path}"))
     try:
         import resource
         for name in ("RLIMIT_AS", "RLIMIT_DATA"):
@@ -432,15 +435,11 @@ def solve_ost(inst: Instance) -> FlowSolution:
 
     A pure function of the instance (``runtime_ms`` is 0.0; the solver
     registry times the call). Raises InfeasibleInstanceError, with
-    ``validate_instance``'s report, when the instance breaks a construction
-    invariant (checked first) or some terminal is unreachable (read from
-    the grown one-terminal rows at the source). The full validator runs
-    only where such a row is inf or where ``dp_init`` refuses the table,
-    so infeasibility is reported ahead of the table's size.
+    ``validate_instance``'s report, when some terminal is unreachable (read
+    from the grown one-terminal rows at the source). The full validator
+    runs only where such a row is inf or where ``dp_init`` refuses the
+    table, so infeasibility is reported ahead of the table's size.
     """
-    problems = instance_problems(inst)
-    if problems:
-        raise InfeasibleInstanceError(problems)
     try:
         table = dp_init(inst)
     except InstanceError:

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -148,26 +149,18 @@ def test_instance_rejects_bad_source():
         (True, {2: 1.0}, r"^source True is not an integer$"),
         (0, {1.5: 1.0}, r"^terminal 1\.5 is not an integer$"),
         (0, {"2": 1.0}, r"^terminal '2' is not an integer$"),
+        (0, {None: 1.0}, r"^terminal None is not an integer$"),
         # a non-integer id is reported before any range check
         (0, {7: 1.0, 1.5: 1.0}, r"^terminal 1\.5 is not an integer$"),
+        (0, {-1: 1.0}, r"^terminal -1 outside \[0, 3\)$"),
+        (0, {3: 1.0}, r"^terminal 3 outside \[0, 3\)$"),
+        (0, {1: 1.0, 2: 1.0, 9: 1.0}, r"^3 terminals exceed node_count - 1 = 2$"),
     ],
 )
 def test_instance_rejects_non_integer_ids(source, terminals, message):
     g = Graph(3, ((0, 1, 0.5), (1, 2, 0.5)))
     with pytest.raises(InstanceError, match=message):
         Instance(graph=g, source=source, terminals=terminals)
-
-
-def test_validate_instance_reports_every_non_integer_id():
-    inst = Instance(Graph(3, ((0, 1, 0.5), (1, 2, 0.5))), 0, {2: 1.0})
-    object.__setattr__(inst, "source", 0.5)
-    object.__setattr__(inst, "terminals", {None: 1.0, 2: 1.0, 9: 1.0})
-    assert validate_instance(inst) == [
-        "source 0.5 is not an integer",
-        "3 terminals exceed node_count - 1 = 2",
-        "terminal None is not an integer",
-        "terminal 9 outside [0, 3)",
-    ]
 
 
 def test_validate_instance_path_graph_ok():
@@ -193,9 +186,17 @@ def test_validate_instance_w1_empty(w1):
     assert validate_instance(w1) == []
 
 
-def test_validate_instance_catches_post_construction_mutation(w1):
-    w1.terminals[2] = -1.0
-    assert any("nonpositive demand" in v for v in validate_instance(w1))
+def test_instance_terminals_are_a_read_only_copy(w1):
+    given = {2: 0.25, 3: 1.0}
+    inst = Instance(w1.graph, 0, given)
+    with pytest.raises(TypeError):
+        inst.terminals[2] = -1.0
+    given[2] = -1.0
+    assert inst.terminals == {2: 0.25, 3: 1.0} and inst == w1
+    copy = pickle.loads(pickle.dumps(inst))
+    assert copy == inst
+    with pytest.raises(TypeError):
+        copy.terminals[2] = -1.0
 
 
 def test_make_solution_computes_cost(w1):

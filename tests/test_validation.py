@@ -92,10 +92,11 @@ def test_constraints_flag_nonpositive_flow(w1):
     assert sum(1 for v in report if v.code is Code.NEG_FLOW) == 2
 
 
-@pytest.mark.parametrize("pair", [(0, 2), (-1, 0), (0, 4), (0, 10**20)])
+@pytest.mark.parametrize("pair", [(0, 2), (-1, 0), (0, 4), (0, 10**20), (0.0, 1.0), (True, 3)])
 def test_constraints_flag_nonedge_flow(w1, pair):
-    # w1 has 4 nodes and no edge {0, 2}; an id outside [0, 4) is no edge
-    # either, and is reported before any per-node list is indexed by it
+    # w1 has 4 nodes and no edge {0, 2}; an id outside [0, 4), or one that
+    # is no integer although it hashes like edge (0, 1) or (1, 3), is no
+    # edge either, and is reported before any per-node list is indexed by it
     report = check_constraints(w1, _sol({**W1_OPT_FLOWS, pair: 1.0}))
     assert [(v.code, v.location) for v in report] == [
         (Code.NONEDGE_FLOW, f"({pair[0]},{pair[1]})")
