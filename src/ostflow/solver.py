@@ -13,12 +13,13 @@ Dreyfus-Wagner recurrence with rate-weighted edges):
 Merge at S reads only proper subsets of S and grow at S reads only row S, so
 all subsets of one population count form an antichain: the table is filled
 one popcount layer at a time, merging the whole layer in one vectorised step
-and growing it with a Bellman-Ford: each sweep relaxes in place, in all rows
-of a chunk, the arcs leaving nodes that just changed. Its fixed point is
-that of a best-first (Dijkstra) pass per subset seeded with every finite
-entry. Both steps work in the chunks that one per-solve Workspace plans
-from CHUNK_ELEMENTS, and every (subset, split, node), (subset, arc) and
-(subset, node) temporary is a view of that workspace's buffers.
+(its splits planned once per layer, ``_splits``) and growing it with a
+Bellman-Ford: each sweep relaxes in place, in all rows of a chunk, the arcs
+leaving nodes that just changed. Its fixed point is that of a best-first
+(Dijkstra) pass per subset seeded with every finite entry. Both steps work
+in the chunks that one per-solve Workspace plans from CHUNK_ELEMENTS, and
+every (subset, split, node), (subset, arc) and (subset, node) temporary is
+a view of that workspace's buffers.
 
 The optimum for the full terminal set at the source is exact. Each table
 value is at least the cost of the feasible network its decisions
@@ -239,49 +240,50 @@ def dp_init(inst: Instance) -> DpTable:
     )
 
 
-def _halves(subsets: np.ndarray, start: int, stop: int,
-            buffer: np.ndarray | None = None) -> np.ndarray:
-    """Half F of splits start..stop-1 of each subset, a (subsets, stop - start)
-    int64 array, written into ``buffer`` when one is given.
+def _splits(subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The split plan of subsets that share one popcount p: their bit
+    values, a (subsets, p) int64 array, and the split pattern, a
+    (p, 2^(p-1) - 1) bool array.
 
-    The subsets share one popcount p and have the 2^(p-1) - 1 splits
-    {F, S - F} whose half F holds the subset's lowest bit: split j places
-    the bits of r = 2j + 1 at the subset's bit positions, so ascending j
-    gives ascending F.
+    A subset has the 2^(p-1) - 1 splits {F, S - F} whose half F holds its
+    lowest bit: split j places the bits of r = 2j + 1 at the subset's bit
+    values, so the halves are the integer matmul of the two, and ascending
+    j gives ascending F.
     """
     p = int(subsets[0]).bit_count()
-    bits = (subsets[:, None] >> np.arange(int(subsets.max()).bit_length())) & 1
-    places = 1 << np.nonzero(bits)[1].reshape(-1, p)  # (subsets, p) bit values
-    r = np.arange(2 * start + 1, 2 * stop, 2)
-    pattern = (r >> np.arange(p)[:, None]) & 1  # (p, splits)
-    out = None if buffer is None else _view(buffer, (len(subsets), r.size))
-    return np.matmul(places, pattern, out=out)
+    # lowest bit first, one column at a time: no (subsets, bits) temporary
+    places, rest = np.empty((len(subsets), p), dtype=np.int64), subsets.copy()
+    for i in range(p):
+        rest ^= np.bitwise_and(rest, -rest, out=places[:, i])
+    r = np.arange(1, (1 << p) - 1, 2)
+    return places, np.bitwise_and(r, 1 << np.arange(p)[:, None]) > 0
 
 
 def dp_merge(table: DpTable, subsets) -> None:
     """Merge phase for subsets of one popcount: the cheapest split at every node.
 
     A split {F, S - F} costs cost[F, v] + cost[S - F, v] at node v (see
-    ``_halves`` for the splits of a subset). A node takes the least of them
-    where that is below its value.
+    ``_splits`` for the splits of a subset, planned once per call). A node
+    takes the least of them where that is below its value.
 
     ``subsets`` is a 1-d sequence of masks of one popcount whose proper
     subsets are final; candidates are costed in the chunks that the
     table's workspace plans (``Workspace.merge_block``), in its buffers.
     """
     subsets = np.asarray(subsets, dtype=np.int64)
-    p = int(subsets[0]).bit_count() if subsets.size else 0
-    if p < 2:
+    if not subsets.size or int(subsets[0]).bit_count() < 2:
         return
     cost, ws = table.cost, table.workspace
-    n = ws.n
-    splits = (1 << (p - 1)) - 1
+    n, intp = ws.n, ws.real[2].view(np.intp)
+    places, pattern = _splits(subsets)
+    splits = pattern.shape[1]
     rows, cols = ws.merge_block(splits)
     for i in range(0, len(subsets), rows):
         chunk = subsets[i:i + rows]
         for j in range(0, splits, cols):
-            halves = _halves(chunk, j, min(j + cols, splits), ws.real[2].view(np.intp))
-            shape = (len(chunk), halves.shape[1], n)
+            part = pattern[:, j:j + cols]
+            shape = (len(chunk), part.shape[1], n)
+            halves = np.matmul(places[i:i + rows], part, out=_view(intp, shape[:2]))
             candidates = _take(cost, halves, ws.real[0], shape)
             others = np.bitwise_xor(halves, chunk[:, None], out=halves)
             np.add(candidates, _take(cost, others, ws.real[1], shape), out=candidates)
@@ -298,7 +300,8 @@ def dp_grow(table: DpTable, subsets) -> None:
     only the arcs leaving nodes that changed in the sweep before. The
     values are the same float sums a best-first pass seeded with every
     finite entry computes. ``arg`` takes the sweep in which each node last
-    changed: nonzero exactly where the value fell below its seed (EXTEND).
+    changed, the largest sweep that lowered it: nonzero exactly where the
+    value fell below its seed (EXTEND).
 
     ``subsets`` is a 1-d sequence of masks whose rows are merged, not yet
     grown; each is grown once, in place, in the chunks that the table's
@@ -330,9 +333,12 @@ def _grow_chunk(table: DpTable, subsets: np.ndarray, xmax: np.ndarray) -> None:
 
     Workspace: real[2] the (c, n) values, grown in place; real[3] the values
     before the sweep; real[4] as int32 the sweep record; real[0] a sweep's
-    (c, arcs) candidates; real[1] their arc costs, then their flat heads.
+    (c, arcs) candidates, then as int32 its stamp (on pages the candidates
+    have touched); real[1] their arc costs, then their flat heads.
     A converged row or an unmoved tail changes nothing: its candidates were
-    applied when the tail last fell, and values only fall.
+    applied when the tail last fell, and values only fall. Sweeps only
+    rise, so a state's last lowering sweep is the largest that lowered it:
+    the record keeps the maximum of the stamps, sweep where lowered, else 0.
     """
     src, dst, weight = table.arcs
     ws = table.workspace
@@ -341,11 +347,13 @@ def _grow_chunk(table: DpTable, subsets: np.ndarray, xmax: np.ndarray) -> None:
     value = table.cost.take(subsets, axis=0, out=flat.reshape(c, n), mode="clip")
     before, better = ws.real[3][:c * n].reshape(c, n), ws.flag[:c * n].reshape(c, n)
     sweep_of = ws.real[4].view(np.int32)[:c * n].reshape(c, n)
+    stamp = cand.view(np.int32)[:c * n].reshape(c, n)
     sweep_of.fill(0)
-    moved = np.isfinite(value, out=better).any(axis=0)
+    # numpy's C entry points: flatnonzero and any() add a Python wrapper
+    moved = np.logical_or.reduce(np.isfinite(value, out=better), axis=0)
     step, offset = xmax[:, None], (np.arange(c) * n)[:, None]
     sweep = 0
-    while (arcs := np.flatnonzero(moved[src])).size:
+    while (arcs := moved[src].nonzero()[0]).size:
         sweep += 1
         size = c * arcs.size
         candidates = value.take(src[arcs], axis=1, out=cand[:size].reshape(c, -1), mode="clip")
@@ -355,8 +363,9 @@ def _grow_chunk(table: DpTable, subsets: np.ndarray, xmax: np.ndarray) -> None:
         np.copyto(before, value)
         np.minimum.at(flat, index.reshape(-1), candidates.reshape(-1))
         np.less(value, before, out=better)
-        np.copyto(sweep_of, sweep, where=better)
-        moved = better.any(axis=0)
+        # an int32 loop: by default bool * int runs in int64, then casts
+        np.maximum(sweep_of, np.multiply(better, sweep, out=stamp, dtype=np.int32), out=sweep_of)
+        moved = np.logical_or.reduce(better, axis=0)
     table.cost[subsets] = value
     table.arg[subsets] = sweep_of
 
@@ -365,7 +374,7 @@ def decision(table: DpTable, node: int, subset: int) -> int:
     """The half F of a MERGE state's split, or an EXTEND state's predecessor,
     derived from the finished table (kinds as ``state_kind`` reads them).
 
-    MERGE: the first split in ``_halves`` order with cost[F, node] +
+    MERGE: the first split in ``_splits`` order with cost[F, node] +
     cost[subset - F, node] == cost[subset, node], the first least split.
     EXTEND: the least (value, node id) among the neighbours u of ``node``
     in the graph's adjacency, joined by an edge of weight w, that reach
@@ -383,7 +392,7 @@ def decision(table: DpTable, node: int, subset: int) -> int:
     value = float(cost[subset, node])
     kind = state_kind(value, arg.item(subset, node), subset)
     if kind == MERGE:
-        halves = _halves(np.array([subset]), 0, (1 << (subset.bit_count() - 1)) - 1)[0]
+        halves = np.matmul(*_splits(np.array([subset])))[0]
         found = np.flatnonzero(cost[halves, node] + cost[subset ^ halves, node] == value)
         if found.size:
             return int(halves[found[0]])

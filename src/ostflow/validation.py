@@ -55,12 +55,11 @@ class Violation:
 
 def check_cost(inst: Instance, sol: FlowSolution) -> list[Violation]:
     """The stated cost must equal sum(weight * flow) within
-    TOL * max(1, |cost|). Flows on non-edges have no cost to compare;
-    ``check_constraints`` reports them."""
-    try:
-        actual = flow_cost(inst.graph, sol.flows)
-    except ValueError:
+    TOL * max(1, |cost|). Flows on non-edges (``Graph.has_edge``) have no
+    cost to compare; ``check_constraints`` reports them."""
+    if not all(inst.graph.has_edge(u, v) for u, v in sol.flows):
         return []
+    actual = flow_cost(inst.graph, sol.flows)
     if abs(sol.cost - actual) > TOL * max(1.0, abs(sol.cost)):
         return [
             Violation(

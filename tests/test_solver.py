@@ -33,6 +33,7 @@ from ostflow.solver import (
     MERGE,
     STATE_BYTES,
     UNSET,
+    _splits,
     decision,
     dp_grow,
     dp_init,
@@ -404,11 +405,28 @@ def _best_first_grow(table, inst: Instance, subset: int) -> dict[int, int]:
     return improved
 
 
+def _proper_halves(subset: int) -> list[int]:
+    """Every proper subset F of ``subset`` holding its lowest bit, ascending."""
+    low = subset & -subset
+    return [f for f in range(low, subset) if f & subset == f and f & low]
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_split_plan_gives_every_proper_half_in_ascending_order(k):
+    # each popcount layer is planned at once, as dp_merge plans it, and one
+    # subset alone, as decision plans it
+    for layer in _layers(k):
+        places, pattern = _splits(np.array(layer))
+        assert pattern.shape == (layer[0].bit_count(), (1 << (layer[0].bit_count() - 1)) - 1)
+        assert np.matmul(places, pattern).tolist() == [_proper_halves(s) for s in layer]
+        for subset in layer:
+            assert np.matmul(*_splits(np.array([subset])))[0].tolist() == _proper_halves(subset)
+
+
 def _first_least_split(cost: np.ndarray, node: int, subset: int) -> int:
     """Half F of the first least split of ``subset`` at ``node``, F holding
     the subset's lowest bit, by ascending F."""
-    low = subset & -subset
-    halves = [f for f in range(low, subset) if f & subset == f and f & low]
+    halves = _proper_halves(subset)
     sums = [cost[f, node] + cost[subset ^ f, node] for f in halves]
     return halves[sums.index(min(sums))]
 
@@ -481,6 +499,17 @@ def _path_table():
     """Table of the path 0-1-...-5, source 2, terminals 0 (D1) and 5 (D2)."""
     edges = tuple((v, v + 1, 0.1 * (v + 1)) for v in range(5))
     return dp_init(Instance(graph=Graph(6, edges), source=2, terminals={0: 0.25, 5: 1.0}))
+
+
+@pytest.mark.parametrize("chunk", [ostflow.solver.CHUNK_ELEMENTS, 1])
+def test_grow_records_sweeps_past_255(chunk, monkeypatch):
+    # the path 0-1-...-299 with its terminal at node 299: node v last falls
+    # in sweep 299 - v, more sweeps than an 8-bit record could hold
+    monkeypatch.setattr(ostflow.solver, "CHUNK_ELEMENTS", chunk)
+    edges = tuple((v, v + 1, 1.0) for v in range(299))
+    table = dp_init(Instance(graph=Graph(300, edges), source=0, terminals={299: 1.0}))
+    dp_grow(table, [1])
+    assert table.arg[1].tolist() == list(range(299, -1, -1))
 
 
 def test_dp_grow_returns_at_once_on_an_unreached_row():

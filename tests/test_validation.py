@@ -64,6 +64,15 @@ def test_check_cost_leaves_nonedge_flows_to_constraints(w1):
     assert codes(check_constraints(w1, sol)) >= {Code.NONEDGE_FLOW}
 
 
+def test_check_cost_leaves_non_integer_edge_ids_to_constraints():
+    # flow_cost finds weights by hash, so it would price (0.0, 1.0) and
+    # (True, 2) as edges (0, 1) and (1, 2): 2.0 against the stated 5.0
+    inst = Instance(graph=Graph(3, ((0, 1, 1.0), (1, 2, 1.0))), source=0, terminals={2: 1.0})
+    sol = FlowSolution(flows={(0.0, 1.0): 1, (True, 2): 1}, cost=5.0, algorithm="test")
+    assert check_cost(inst, sol) == []
+    assert codes(check_constraints(inst, sol)) >= {Code.NONEDGE_FLOW}
+
+
 def test_total_cost_rejects_nonedge(w1):
     with pytest.raises(ValueError, match=r"flow on edge \(0, 2\) absent from graph"):
         flow_cost(w1.graph, {(0, 2): 1.0})
