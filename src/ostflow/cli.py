@@ -24,8 +24,8 @@ from .serialize import (
 )
 from .validation import check_constraints, check_cost, check_flow_law, check_tree
 
-# Each command imports the rest of the package (and numpy with it) when
-# it runs, so start-up pays only for the command given.
+# Each command imports the rest of the package when it runs, so start-up
+# pays only for the command given; gen and validate never load numpy.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -213,8 +213,11 @@ def cmd_solve(args) -> int:
 
 def cmd_gen(args) -> int:
     from .generator import generate_instance
+    from .pcg64 import PCG64Stream
 
-    inst = generate_instance(_gen_config(args, args.seed))
+    # numpy's draws, from a stream that does not load numpy: importing it
+    # would take most of this command's time and memory
+    inst = generate_instance(_gen_config(args, args.seed), PCG64Stream)
     _write_output(serialize_instance(inst), args.output)
     return EXIT_OK
 

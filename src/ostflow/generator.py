@@ -5,13 +5,29 @@ sequence) plus extra edges drawn uniformly among the absent node pairs,
 so the graph is always connected. Extra edges are sampled by pair rank,
 without listing the absent pairs: O(m log m) time and O(n + m) memory
 for m edges. Weights are i.i.d. uniform on (0, 1).
-All randomness flows from a single PCG64 generator seeded by the config,
+All randomness flows from a single PCG64 stream seeded by the config,
 so identical configs produce bit-identical instances. Its draws come in
 this order: the Pruefer sequence (``integers``), the extra pairs' ranks
-(``choice`` without replacement), one weight per edge in ascending
+(``sample``, without replacement), one weight per edge in ascending
 (u, v) order (``random`` in a block, redrawing an exact zero), the node
 permutation (``permutation``) and one demand pick per non-source node
-(``choice`` with the demand probabilities).
+(``weighted``, with the demand probabilities).
+
+``generate_instance`` reads those five draw calls from one of two
+sources, which give equal instances:
+
+- ``NumpyStream``, numpy's ``Generator(PCG64(seed))``, the default. Bench
+  sweeps, tests and benchmark set-up load numpy anyway and generate many
+  instances, some of a thousand nodes and more, where numpy's draws are
+  about twice as fast.
+- ``pcg64.PCG64Stream``, the same stream in pure Python. ``ostflow gen``
+  picks it, so that one generation in a fresh process imports no numpy.
+
+numpy does not promise that a ``Generator`` stream stays the same across
+its versions (NEP 19); ``tests/test_pcg64.py`` compares the two sources
+draw by draw, and the generator golden pins the instances.
+``generate_regular_instance`` draws from numpy only: its retry loop
+needs C-speed permutations.
 
 Source and terminals come from one random node permutation: the source is
 the first entry and terminals the next ``terminal_count`` entries, with
@@ -24,8 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-
-import numpy as np
 
 from .model import Graph, Instance, InstanceError, as_float, as_int, require_fields, sum_left
 
@@ -96,11 +110,36 @@ class GenConfig:
         return round(self.node_count * self.avg_degree / 2)
 
 
-def _pruefer_tree(rng: np.random.Generator, n: int) -> list[tuple[int, int]]:
+class NumpyStream:
+    """The draws of ``generate_instance`` from numpy's
+    ``Generator(PCG64(seed))``, as lists; ``rng`` is that generator."""
+
+    def __init__(self, seed: int):
+        import numpy as np
+
+        self.rng = np.random.Generator(np.random.PCG64(seed))
+
+    def integers(self, high: int, size: int) -> list[int]:
+        return self.rng.integers(high, size=size).tolist()
+
+    def random(self, size: int) -> list[float]:
+        return self.rng.random(size).tolist()
+
+    def permutation(self, n: int) -> list[int]:
+        return self.rng.permutation(n).tolist()
+
+    def sample(self, pop: int, size: int) -> list[int]:
+        return self.rng.choice(pop, size, replace=False).tolist()
+
+    def weighted(self, p, size: int) -> list[int]:
+        return self.rng.choice(len(p), size, p=p).tolist()
+
+
+def _pruefer_tree(stream, n: int) -> list[tuple[int, int]]:
     """Uniform random labeled tree on n nodes via Pruefer decoding."""
     if n == 1:
         return []
-    seq = rng.integers(0, n, size=n - 2).tolist()
+    seq = stream.integers(n, n - 2)
     degree = [1] * n
     for x in seq:
         degree[x] += 1
@@ -124,66 +163,84 @@ def _pruefer_tree(rng: np.random.Generator, n: int) -> list[tuple[int, int]]:
     return edges
 
 
-def _positive_uniforms(rng: np.random.Generator, count: int) -> list[float]:
+def _positive_uniforms(stream, count: int) -> list[float]:
     """``count`` draws of U(0, 1) open at 0: the first ``count`` nonzero
-    values of ``rng.random()``'s stream, so an exact zero (measure zero) is
-    redrawn and the stream advances by as many doubles as scalar calls
-    that redraw a zero would take."""
-    draws = rng.random(count).tolist()
+    values of ``stream.random``'s doubles, so an exact zero (measure zero)
+    is redrawn and the stream advances by as many doubles as one draw per
+    value that redraws a zero would take."""
+    draws = stream.random(count)
     while 0.0 in draws:
         draws = [w for w in draws if w != 0.0]
-        draws += rng.random(count - len(draws)).tolist()
+        draws += stream.random(count - len(draws))
     return draws
 
 
-def _finish_instance(
-    rng: np.random.Generator, cfg: GenConfig, tails: list[int], heads: list[int]
-) -> Instance:
+def _finish_instance(stream, cfg: GenConfig, tails: list[int], heads: list[int]) -> Instance:
     """Draw weights, source, terminals and demands for a fixed topology:
     edges (tails[i], heads[i]), tail < head, in ascending (u, v) order."""
     n = cfg.node_count
-    weights = _positive_uniforms(rng, len(tails))
+    weights = _positive_uniforms(stream, len(tails))
     graph = Graph(node_count=n, edges=tuple(zip(tails, heads, weights)))
-    perm = rng.permutation(n).tolist()
+    perm = stream.permutation(n)
     values = [v for v, _ in cfg.demand_set]
     probs = [p for _, p in cfg.demand_set]
     # Draw a demand for every non-source node so that, for a fixed seed,
     # each terminal keeps its demand as terminal_count grows.
-    picks = rng.choice(len(values), size=n - 1, p=probs).tolist()
+    picks = stream.weighted(probs, n - 1)
     chosen = perm[1 : cfg.terminal_count + 1]
     terminals = {t: values[k] for t, k in zip(chosen, picks)}
     return Instance(graph=graph, source=perm[0], terminals=terminals)
 
 
-def generate_instance(cfg: GenConfig) -> Instance:
-    """Generate a connected random instance; deterministic per config."""
+def generate_instance(cfg: GenConfig, stream=NumpyStream) -> Instance:
+    """Generate a connected random instance; deterministic per config.
+
+    ``stream`` is the draw source's class, called with ``cfg.seed``:
+    ``NumpyStream`` or ``pcg64.PCG64Stream``, which give equal instances.
+    """
     n = cfg.node_count
     m = cfg.edge_count
     if m < n - 1:
         raise InstanceError(
             f"cannot guarantee connectivity: {m} edges < {n - 1} required for {n} nodes"
         )
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    # Pair (u, v), u < v, has rank start[u] + v - u - 1 in ascending
-    # (u, v) order, so sorted ranks decode to sorted pairs.
-    ranks = []
-    for u, v in _pruefer_tree(rng, n):
+    draws = stream(cfg.seed)
+    # Pair (u, v), u < v, has rank start(u) + v - u - 1 in ascending (u, v)
+    # order, start(u) = u (2n - u - 1) / 2, so sorted ranks decode to
+    # sorted pairs.
+    tree = []
+    for u, v in _pruefer_tree(draws, n):
         if u > v:
             u, v = v, u
-        ranks.append(u * (2 * n - u - 1) // 2 + v - u - 1)
-    ranks.sort()
-    nodes = np.arange(n)
-    start = nodes * (2 * n - nodes - 1) // 2
-    if m > len(ranks):
-        # Absent pair i has rank i plus the number of tree ranks below it,
-        # which t - arange counts by a binary search.
-        t = np.array(ranks)
-        picked = rng.choice(n * (n - 1) // 2 - len(ranks), size=m - len(ranks), replace=False)
-        picked += np.searchsorted(t - np.arange(len(t)), picked, side="right")
-        ranks = sorted(ranks + picked.tolist())
-    ranks = np.array(ranks)
-    u = np.searchsorted(start, ranks, side="right") - 1
-    return _finish_instance(rng, cfg, u.tolist(), (ranks - start[u] + u + 1).tolist())
+        tree.append(u * (2 * n - u - 1) // 2 + v - u - 1)
+    tree.sort()
+    ranks = tree
+    if m > len(tree):
+        # Absent pair i has rank i + j, j the number of tree ranks t[j']
+        # with t[j'] - j' <= i; one walk over the sorted picks counts j and
+        # merges the tree ranks in. The sentinel n^2 ends the walk.
+        picked = draws.sample(n * (n - 1) // 2 - len(tree), m - len(tree))
+        picked.sort()
+        tree.append(n * n)
+        ranks = []
+        j = 0
+        for i in picked:
+            while tree[j] - j <= i:
+                ranks.append(tree[j])
+                j += 1
+            ranks.append(i + j)
+        ranks += tree[j:-1]
+    # One walk over u decodes the sorted ranks: u's pairs rank below
+    # end = start(u + 1), and v = rank - offset, offset = start(u) - u - 1.
+    tails, heads = [], []
+    u, offset, end = 0, -1, n - 1
+    for rank in ranks:
+        while rank >= end:
+            u += 1
+            offset, end = end - u - 1, end + n - u - 1
+        tails.append(u)
+        heads.append(rank - offset)
+    return _finish_instance(draws, cfg, tails, heads)
 
 
 def _connected(n: int, pairs) -> bool:
@@ -192,9 +249,7 @@ def _connected(n: int, pairs) -> bool:
     return len(graph.reachable_from(0)) == n
 
 
-def _sequential_pairing(
-    rng: np.random.Generator, n: int, degree: int
-) -> list[tuple[int, int]] | None:
+def _sequential_pairing(stream, n: int, degree: int) -> list[tuple[int, int]] | None:
     """One Steger-Wormald sequential pairing (Steger & Wormald, Combinatorics,
     Probability and Computing 1999): draw two free stubs uniformly and join
     them when their nodes are distinct and not yet adjacent, until every
@@ -203,7 +258,7 @@ def _sequential_pairing(
     stubs = [v for v in range(n) for _ in range(degree)]
     neighbours: list[set[int]] = [set() for _ in range(n)]
     while stubs:
-        i, j = rng.integers(len(stubs), size=2).tolist()
+        i, j = stream.integers(len(stubs), 2)
         u, v = stubs[i], stubs[j]
         if u != v and v not in neighbours[u]:
             neighbours[u].add(v)
@@ -233,10 +288,12 @@ def generate_regular_instance(cfg: GenConfig, degree: int) -> Instance:
         raise InstanceError(f"regular degree {degree} outside [1, {n - 1}]")
     if n * degree % 2 != 0:
         raise InstanceError(f"node_count * degree = {n * degree} must be even")
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    import numpy as np
+
+    stream = NumpyStream(cfg.seed)
     stubs = np.repeat(np.arange(n), degree)
     for _ in range(_REGULAR_ATTEMPTS):
-        ends = np.sort(stubs[rng.permutation(len(stubs))].reshape(-1, 2), axis=1)
+        ends = np.sort(stubs[stream.rng.permutation(len(stubs))].reshape(-1, 2), axis=1)
         if (ends[:, 0] == ends[:, 1]).any():
             continue
         # keys u * n + v sort as the pairs (u, v) do; a repeat is a duplicate
@@ -245,11 +302,11 @@ def generate_regular_instance(cfg: GenConfig, degree: int) -> Instance:
             continue
         tails, heads = (keys // n).tolist(), (keys % n).tolist()
         if _connected(n, zip(tails, heads)):
-            return _finish_instance(rng, cfg, tails, heads)
+            return _finish_instance(stream, cfg, tails, heads)
     for _ in range(_REGULAR_ATTEMPTS):
-        pairs = _sequential_pairing(rng, n, degree)
+        pairs = _sequential_pairing(stream, n, degree)
         if pairs is not None and _connected(n, pairs):
-            return _finish_instance(rng, cfg, *zip(*pairs))
+            return _finish_instance(stream, cfg, *zip(*pairs))
     raise InstanceError(
         f"no simple connected {degree}-regular graph found in {_REGULAR_ATTEMPTS} attempts"
         " of each sampler"

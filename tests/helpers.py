@@ -214,14 +214,14 @@ def reference_regular_instance(cfg: GenConfig, degree: int):
     Returns ``(instance, sampler)``, the sampler being ``"pairing"`` or
     ``"sequential"``, or None where both run out of attempts."""
     n = cfg.node_count
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    stream = generator.NumpyStream(cfg.seed)
     stubs = np.repeat(np.arange(n), degree)
 
     def connected(pairs):
         return len(Graph(n, tuple((u, v, 1.0) for u, v in pairs)).reachable_from(0)) == n
 
     for _ in range(generator._REGULAR_ATTEMPTS):
-        shuffled = stubs[rng.permutation(len(stubs))].tolist()
+        shuffled = stubs[stream.rng.permutation(len(stubs))].tolist()
         pairs = set()
         for u, v in zip(shuffled[::2], shuffled[1::2]):
             if u == v or (min(u, v), max(u, v)) in pairs:
@@ -229,11 +229,11 @@ def reference_regular_instance(cfg: GenConfig, degree: int):
             pairs.add((min(u, v), max(u, v)))
         else:
             if connected(pairs):
-                return generator._finish_instance(rng, cfg, *zip(*sorted(pairs))), "pairing"
+                return generator._finish_instance(stream, cfg, *zip(*sorted(pairs))), "pairing"
     for _ in range(generator._REGULAR_ATTEMPTS):
-        pairs = generator._sequential_pairing(rng, n, degree)
+        pairs = generator._sequential_pairing(stream, n, degree)
         if pairs is not None and connected(pairs):
-            return generator._finish_instance(rng, cfg, *zip(*pairs)), "sequential"
+            return generator._finish_instance(stream, cfg, *zip(*pairs)), "sequential"
     return None
 
 
@@ -297,60 +297,60 @@ def reference_genome_flows(inst: Instance, genome: bytes):
     return reference_tree_flows(inst, tree) if len(tree) == len(selected) - 1 else None
 
 
-def reference_positive_uniform(rng) -> float:
-    """One U(0, 1) draw open at 0, redrawing an exact zero: the scalar
-    draw that ``generator._positive_uniforms`` must match in values and
-    in the number of draws taken."""
-    w = float(rng.random())
+def reference_positive_uniform(stream) -> float:
+    """One U(0, 1) draw open at 0, redrawing an exact zero, one double at
+    a time: the draw that ``generator._positive_uniforms`` must match in
+    values and in the number of draws taken."""
+    w = stream.random(1)[0]
     while w == 0.0:
-        w = float(rng.random())
+        w = stream.random(1)[0]
     return w
 
 
 def reference_generate_instance(cfg: GenConfig):
-    """``generate_instance`` with a set of tree pairs, a sort of pair
-    tuples and one scalar weight draw per edge, kept as the reference for
-    its bulk draws and merged rank decode (valid configs only). Both must
-    return the same instance for every config."""
+    """``generate_instance`` with a set of tree pairs, numpy's binary
+    searches, a sort of pair tuples and one weight draw per edge, kept as
+    the reference for its bulk draws and merge-walk rank decode (valid
+    configs only). Both must return the same instance for every config."""
     n, m = cfg.node_count, cfg.edge_count
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    tree = {(min(u, v), max(u, v)) for u, v in generator._pruefer_tree(rng, n)}
+    stream = generator.NumpyStream(cfg.seed)
+    tree = {(min(u, v), max(u, v)) for u, v in generator._pruefer_tree(stream, n)}
     pairs = list(tree)
     if m > len(tree):
         nodes = np.arange(n)
         start = nodes * (2 * n - nodes - 1) // 2
         tu, tv = np.array(sorted(tree)).T
         t = start[tu] + tv - tu - 1
-        picked = rng.choice(n * (n - 1) // 2 - len(tree), size=m - len(tree), replace=False)
+        picked = np.array(stream.sample(n * (n - 1) // 2 - len(tree), m - len(tree)))
         ranks = picked + np.searchsorted(t - np.arange(len(t)), picked, side="right")
         u = np.searchsorted(start, ranks, side="right") - 1
         pairs.extend(zip(u.tolist(), (ranks - start[u] + u + 1).tolist()))
-    edges = [(u, v, reference_positive_uniform(rng)) for u, v in sorted(pairs)]
+    edges = [(u, v, reference_positive_uniform(stream)) for u, v in sorted(pairs)]
     graph = Graph(node_count=n, edges=tuple(edges))
-    perm = [int(x) for x in rng.permutation(n)]
+    perm = stream.permutation(n)
     values = [v for v, _ in cfg.demand_set]
-    picks = rng.choice(len(values), size=n - 1, p=[p for _, p in cfg.demand_set])
+    picks = stream.weighted([p for _, p in cfg.demand_set], n - 1)
     chosen = perm[1 : cfg.terminal_count + 1]
-    terminals = {t: values[int(k)] for t, k in zip(chosen, picks)}
+    terminals = {t: values[k] for t, k in zip(chosen, picks)}
     return Instance(graph=graph, source=perm[0], terminals=terminals)
 
 
 class ScriptedStream:
-    """Stand-in for ``np.random.Generator`` whose ``random()`` and
-    ``random(size)`` return scripted doubles in order and count the draws;
-    drawing past the script fails."""
+    """Stand-in for a generator draw stream (``generator.NumpyStream``,
+    ``pcg64.PCG64Stream``) whose ``random(size)`` returns the next ``size``
+    scripted doubles as a list and counts the draws; drawing past the
+    script fails."""
 
     def __init__(self, values):
         self.values = list(values)
         self.drawn = 0
 
-    def random(self, size=None):
-        count = 1 if size is None else size
-        if self.drawn + count > len(self.values):
+    def random(self, size):
+        if self.drawn + size > len(self.values):
             raise AssertionError("drew past the script")
-        out = self.values[self.drawn : self.drawn + count]
-        self.drawn += count
-        return out[0] if size is None else np.array(out)
+        out = self.values[self.drawn : self.drawn + size]
+        self.drawn += size
+        return out
 
 
 def tie_golden_instance(spec: dict):

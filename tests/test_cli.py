@@ -12,11 +12,13 @@ from ostflow import (
     MetaheuristicParams,
     SweepConfig,
     SweepKind,
+    generate_instance,
     serialize_instance,
     serialize_solution,
     solve_ost,
 )
 from ostflow.cli import _gen_config, _metaheuristic_params, _sweep_config, build_parser, main
+from ostflow.pcg64 import PCG64Stream
 from ostflow.registry import SOLVERS
 from ostflow.solver import STATE_BYTES
 
@@ -217,6 +219,29 @@ def test_gen_rejects_impossible_connectivity(capsys):
     code, _, err = run(capsys, "gen", "--nodes", 4, "--avg-degree", 0.5,
                        "--terminals", 1)
     assert code == 1 and "cannot guarantee connectivity" in err
+
+
+@pytest.mark.parametrize(
+    "nodes,degree,terminals,seed,demands",
+    [
+        (2, 1, 1, 0, None),
+        (10, 3, 2, 42, None),
+        (50, 4, 6, 400_000, None),
+        (300, 6, 8, 2**64 - 1, None),
+        (40, 39, 5, 7, "2:0.1,0.7:0.6,0.3:0.3"),
+    ],
+)
+def test_gen_writes_the_library_instance(capsys, nodes, degree, terminals, seed, demands):
+    # gen draws from the pure-Python stream, the library from numpy's
+    argv = ["gen", "--nodes", nodes, "--avg-degree", degree, "--terminals", terminals,
+            "--seed", seed]
+    cfg = GenConfig(nodes, degree, terminals, seed=seed)
+    if demands is not None:
+        argv += ["--demands", demands]
+        cfg = replace(cfg, demand_set=((2.0, 0.1), (0.7, 0.6), (0.3, 0.3)))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == serialize_instance(generate_instance(cfg))
 
 
 def test_gen_custom_demands(capsys):
@@ -581,10 +606,12 @@ def test_gen_overfull_degree_names_the_complete_graph_limit(capsys):
     ],
 )
 def test_gen_out_of_memory_exits_1(capsys, monkeypatch, error, line):
-    # a failed allocation, as numpy raises for a huge --nodes, is one line
+    # a failed allocation, as a draw's result list raises for a huge
+    # --nodes, is one line
     import ostflow.generator
 
-    def exhausted(cfg):
+    def exhausted(cfg, stream):
+        assert stream is PCG64Stream
         raise error
 
     monkeypatch.setattr(ostflow.generator, "generate_instance", exhausted)
@@ -628,6 +655,13 @@ def test_validate_never_imports_numpy(tmp_path, w1_path, w1):
     loaded = _modules_loaded(tmp_path, "validate", "--instance", w1_path,
                              "--solution", sol_path, "--tree", "--flow-law")
     assert "ostflow.validation" in loaded
+    assert "numpy" not in loaded
+
+
+def test_gen_never_imports_numpy(tmp_path):
+    loaded = _modules_loaded(tmp_path, "gen", "--nodes", 30, "--avg-degree", 3,
+                             "--terminals", 4, "--seed", 1, "--output", "i.json")
+    assert {"ostflow.generator", "ostflow.pcg64"} <= loaded
     assert "numpy" not in loaded
 
 
